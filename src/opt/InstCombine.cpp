@@ -182,13 +182,14 @@ bool InstCombinePass::combineBinary(BinaryInst *B, BasicBlock *BB,
     break;
   }
   case BinaryInst::Mul: {
-    // mul x, 2^C -> shl x, C (flags carry over).
+    // mul x, 2^C -> shl x, C. nuw carries over; nsw only for C < W-1:
+    // mul nsw x, INT_MIN is defined at x = 1, shl nsw x, W-1 is poison.
     if (RC && RC->getValue().isPowerOf2() && !RC->isOne()) {
-      auto *Shl = new BinaryInst(
-          BinaryInst::Shl, L,
-          intC(B->getType(), APInt(W, RC->getValue().logBase2())));
+      unsigned ShAmt = RC->getValue().logBase2();
+      auto *Shl = new BinaryInst(BinaryInst::Shl, L,
+                                 intC(B->getType(), APInt(W, ShAmt)));
       Shl->setNUW(B->hasNUW());
-      Shl->setNSW(B->hasNSW());
+      Shl->setNSW(B->hasNSW() && ShAmt < W - 1);
       Shl->setName(B->getName());
       insertBefore(BB, Idx, std::unique_ptr<Instruction>(Shl));
       replaceAndErase(B, Shl);

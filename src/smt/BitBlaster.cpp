@@ -7,12 +7,42 @@
 #include "smt/BitBlaster.h"
 
 #include <cassert>
+#include <cstdlib>
+#include <utility>
 
 using namespace alive;
 
 BitBlaster::BitBlaster(SatSolver &Solver) : Solver(Solver) {
   TrueLit = Solver.newVar();
   Solver.addClause(TrueLit);
+}
+
+Lit &BitBlaster::GateTable::slot(Lit A, Lit B) {
+  if (2 * (Used + 1) > Entries.size())
+    grow();
+  uint64_t Key = (uint64_t)(uint32_t)A << 32 | (uint32_t)B;
+  size_t Mask = Entries.size() - 1;
+  // Fibonacci hashing: the multiply spreads neighboring literal pairs.
+  for (size_t I = (Key * 0x9E3779B97F4A7C15ULL) >> 32 & Mask;;
+       I = (I + 1) & Mask) {
+    Entry &E = Entries[I];
+    if (E.Key == Key)
+      return E.Out;
+    if (E.Key == 0) {
+      E.Key = Key;
+      ++Used;
+      return E.Out;
+    }
+  }
+}
+
+void BitBlaster::GateTable::grow() {
+  std::vector<Entry> Old = std::move(Entries);
+  Entries.assign(Old.empty() ? 1024 : 2 * Old.size(), Entry());
+  Used = 0;
+  for (const Entry &E : Old)
+    if (E.Key != 0)
+      slot((Lit)(E.Key >> 32), (Lit)(uint32_t)E.Key) = E.Out;
 }
 
 Lit BitBlaster::mkAnd(Lit A, Lit B) {
@@ -26,7 +56,13 @@ Lit BitBlaster::mkAnd(Lit A, Lit B) {
     return A;
   if (A == -B)
     return -TrueLit;
-  Lit R = freshLit();
+  // AND is commutative: one entry per unordered pair.
+  if (A > B)
+    std::swap(A, B);
+  Lit &R = AndGates.slot(A, B);
+  if (R)
+    return R;
+  R = freshLit();
   Solver.addClause(-R, A);
   Solver.addClause(-R, B);
   Solver.addClause(R, -A, -B);
@@ -48,12 +84,22 @@ Lit BitBlaster::mkXor(Lit A, Lit B) {
     return -TrueLit;
   if (A == -B)
     return TrueLit;
-  Lit R = freshLit();
-  Solver.addClause(-R, A, B);
-  Solver.addClause(-R, -A, -B);
-  Solver.addClause(R, -A, B);
-  Solver.addClause(R, A, -B);
-  return R;
+  // xor(-a, b) == -xor(a, b): gates take positive, ordered operands and
+  // input negations move onto the output literal.
+  bool Negated = (A < 0) != (B < 0);
+  A = std::abs(A);
+  B = std::abs(B);
+  if (A > B)
+    std::swap(A, B);
+  Lit &R = XorGates.slot(A, B);
+  if (!R) {
+    R = freshLit();
+    Solver.addClause(-R, A, B);
+    Solver.addClause(-R, -A, -B);
+    Solver.addClause(R, -A, B);
+    Solver.addClause(R, A, -B);
+  }
+  return Negated ? -R : R;
 }
 
 Lit BitBlaster::mkMux(Lit Sel, Lit T, Lit E) {
@@ -269,9 +315,20 @@ const std::vector<Lit> &BitBlaster::blast(TermRef T) {
     Bits = addBits(Op(0), NotB, TrueLit);
     break;
   }
-  case TermKind::Mul:
-    Bits = mulBits(Op(0), Op(1));
+  case TermKind::Mul: {
+    // Multiplication commutes but the shift-add circuit does not, so a*b
+    // and b*a (GVN unifies them, InstCombine moves constants right) would
+    // leave the solver to prove two multipliers equal. Fix one operand
+    // order: a constant goes right, where its zero bits drop whole rows;
+    // otherwise the lexicographically smaller literal vector goes left.
+    // Extending both operands keeps the order, so the product's low half
+    // stays shared with the wide product of an overflow check.
+    const auto &A = Op(0), &B = Op(1);
+    bool ConstA = T->Ops[0]->isConst(), ConstB = T->Ops[1]->isConst();
+    bool Swap = ConstA != ConstB ? ConstA : B < A;
+    Bits = Swap ? mulBits(B, A) : mulBits(A, B);
     break;
+  }
   case TermKind::UDiv:
   case TermKind::URem: {
     std::vector<Lit> Q, R;

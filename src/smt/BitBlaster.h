@@ -10,6 +10,14 @@
 /// comparator chains. Every Term node gets a vector of SAT literals
 /// (LSB first); results are cached so the DAG is lowered once.
 ///
+/// Every circuit is built from two structurally hashed gates, AND and XOR:
+/// a gate over an operand pair already seen returns the existing output
+/// literal. Identical sub-circuits over the same literals therefore
+/// collapse to one, whichever terms they were reached from — the source
+/// and target of a refinement query share every multiplier, adder and
+/// comparator they compute alike, and the solver never has to prove two
+/// copies of a circuit equal.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SMT_BITBLASTER_H
@@ -18,7 +26,9 @@
 #include "smt/SatSolver.h"
 #include "smt/Term.h"
 
+#include <cstdint>
 #include <map>
+#include <unordered_map>
 #include <vector>
 
 namespace alive {
@@ -51,11 +61,32 @@ public:
   std::map<unsigned, APInt> extractAssignment();
 
 private:
-  // Gate constructors (Tseitin).
+  // Gate constructors (Tseitin). AND and XOR are structurally hashed;
+  // OR and MUX are built from them.
   Lit mkAnd(Lit A, Lit B);
   Lit mkOr(Lit A, Lit B);
   Lit mkXor(Lit A, Lit B);
   Lit mkMux(Lit Sel, Lit T, Lit E);
+
+  /// Open-addressing table from a normalized gate operand pair to the
+  /// gate's output literal. It is only ever looked up, never iterated, so
+  /// its layout cannot reach the CNF.
+  class GateTable {
+  public:
+    /// The output slot for operands (\p A, \p B): the existing gate's
+    /// literal, or 0 for a new entry the caller must fill.
+    Lit &slot(Lit A, Lit B);
+
+  private:
+    struct Entry {
+      uint64_t Key = 0; ///< 0 marks an empty slot (literals are nonzero)
+      Lit Out = 0;
+    };
+    void grow();
+    std::vector<Entry> Entries;
+    size_t Used = 0;
+  };
+
   Lit freshLit() { return Solver.newVar(); }
 
   std::vector<Lit> addBits(const std::vector<Lit> &A,
@@ -78,7 +109,8 @@ private:
 
   SatSolver &Solver;
   Lit TrueLit;
-  std::map<TermRef, std::vector<Lit>> Cache;
+  GateTable AndGates, XorGates;
+  std::unordered_map<TermRef, std::vector<Lit>> Cache;
   std::map<unsigned, std::pair<unsigned, std::vector<Lit>>> VarBits;
 };
 

@@ -7,8 +7,23 @@
 #include "smt/Term.h"
 
 #include <cassert>
+#include <cstdint>
 
 using namespace alive;
+
+size_t TermBuilder::KeyHash::operator()(const Key &K) const {
+  uint64_t H = (uint64_t)K.Kind << 32 | K.Width;
+  auto Mix = [&H](uint64_t V) {
+    H = (H ^ V) * 0x9E3779B97F4A7C15ULL;
+    H ^= H >> 29;
+  };
+  for (TermRef Op : K.Ops)
+    Mix((uint64_t)(uintptr_t)Op);
+  Mix(K.ConstParts.first);
+  Mix(K.ConstParts.second);
+  Mix(K.VarId);
+  return (size_t)H;
+}
 
 TermRef TermBuilder::intern(Term &&T) {
   Key K{T.Kind, T.Width, T.Ops,
@@ -214,6 +229,47 @@ TermRef TermBuilder::mkTrunc(TermRef A, unsigned Width) {
   T.Ops = {A};
   T.ConstVal = APInt::getZero(1);
   return intern(std::move(T));
+}
+
+unsigned alive::knownLeadingZeros(TermRef T) {
+  switch (T->Kind) {
+  case TermKind::Const:
+    return T->ConstVal.countLeadingZeros();
+  case TermKind::ZExt:
+    return T->Width - T->Ops[0]->Width + knownLeadingZeros(T->Ops[0]);
+  case TermKind::SExt: {
+    // The copied sign bit is a known zero only if the operand's is.
+    unsigned LZ = knownLeadingZeros(T->Ops[0]);
+    return LZ ? T->Width - T->Ops[0]->Width + LZ : 0;
+  }
+  default:
+    return 0;
+  }
+}
+
+unsigned alive::knownSignBits(TermRef T) {
+  switch (T->Kind) {
+  case TermKind::Const:
+    return T->ConstVal.isNegative() ? T->ConstVal.countLeadingOnes()
+                                    : T->ConstVal.countLeadingZeros();
+  case TermKind::ZExt:
+    // A zero sign bit: the sign-bit copies are the leading zeros.
+    return knownLeadingZeros(T);
+  case TermKind::SExt:
+    return T->Width - T->Ops[0]->Width + knownSignBits(T->Ops[0]);
+  default:
+    return 1;
+  }
+}
+
+bool alive::mulNeverOverflowsUnsigned(TermRef A, TermRef B) {
+  assert(A->Width == B->Width && "width mismatch");
+  return knownLeadingZeros(A) + knownLeadingZeros(B) >= A->Width;
+}
+
+bool alive::mulNeverOverflowsSigned(TermRef A, TermRef B) {
+  assert(A->Width == B->Width && "width mismatch");
+  return knownSignBits(A) + knownSignBits(B) > A->Width + 1;
 }
 
 APInt TermBuilder::evaluate(TermRef Root,

@@ -21,6 +21,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 namespace alive {
@@ -137,21 +138,35 @@ private:
     std::vector<TermRef> Ops;
     std::pair<uint64_t, uint64_t> ConstParts;
     unsigned VarId;
-    bool operator<(const Key &O) const {
-      if (Kind != O.Kind)
-        return Kind < O.Kind;
-      if (Width != O.Width)
-        return Width < O.Width;
-      if (Ops != O.Ops)
-        return Ops < O.Ops;
-      if (ConstParts != O.ConstParts)
-        return ConstParts < O.ConstParts;
-      return VarId < O.VarId;
-    }
+    bool operator==(const Key &O) const = default;
   };
-  std::map<Key, std::unique_ptr<Term>> Pool;
+  struct KeyHash {
+    size_t operator()(const Key &K) const;
+  };
+  /// Only ever looked up, never iterated: terms and variable ids are
+  /// created in call order whatever the table's layout.
+  std::unordered_map<Key, std::unique_ptr<Term>, KeyHash> Pool;
   unsigned NextVarId = 0;
 };
+
+// Word-level facts that hold for every assignment, read off the term's
+// structure alone (constants and extensions). They let the encoder drop
+// provably dead overflow checks before bit-blasting. They deliberately do
+// not use analysis/KnownBits: the optimizer under test uses that
+// analysis, so a bug in it must not blind the checker to the very
+// miscompile it enables.
+
+/// Number of high bits known to be zero.
+unsigned knownLeadingZeros(TermRef T);
+/// Number of high bits known to equal the sign bit, the sign bit included
+/// (at least 1).
+unsigned knownSignBits(TermRef T);
+/// True when the unsigned product of \p A and \p B never wraps:
+/// lz(A) + lz(B) >= W (LLVM's computeOverflowForUnsignedMul).
+bool mulNeverOverflowsUnsigned(TermRef A, TermRef B);
+/// True when the signed product of \p A and \p B never wraps:
+/// sb(A) + sb(B) > W + 1, so |A * B| <= 2^(W-2).
+bool mulNeverOverflowsSigned(TermRef A, TermRef B);
 
 } // namespace alive
 

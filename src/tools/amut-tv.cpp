@@ -22,7 +22,14 @@ using namespace alive;
 int main(int Argc, char **Argv) {
   ArgParser Args(Argc, Argv);
   if (Args.positional().size() < 2) {
-    std::puts("usage: amut-tv src.ll tgt.ll");
+    TVOptions Defaults;
+    std::printf("usage: amut-tv [options] src.ll tgt.ll\n"
+                "  -budget=<conflicts>  SAT conflict budget per query "
+                "(0 = unlimited, default %llu)\n"
+                "  -trials=<n>          sampled trials on the concrete path "
+                "(default %u)\n",
+                (unsigned long long)Defaults.SolverConflictBudget,
+                Defaults.ConcreteTrials);
     return 1;
   }
 

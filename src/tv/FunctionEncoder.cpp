@@ -157,12 +157,16 @@ EncodedValue FunctionEncoder::encodeBinary(const BinaryInst *Bin,
   }
   case BinaryInst::Mul: {
     Val = B.mkMul(L.Val, R.Val);
-    if (Bin->hasNUW()) {
+    // The flags' poison is a 2W-bit multiplier compared against the W-bit
+    // one: multiplier equivalence, the worst case for CDCL. Drop it
+    // before blasting where the operands' structure already rules the
+    // overflow out.
+    if (Bin->hasNUW() && !mulNeverOverflowsUnsigned(L.Val, R.Val)) {
       TermRef Wide =
           B.mkMul(B.mkZExt(L.Val, 2 * W), B.mkZExt(R.Val, 2 * W));
       Poison = B.mkOr(Poison, B.mkNe(Wide, B.mkZExt(Val, 2 * W)));
     }
-    if (Bin->hasNSW()) {
+    if (Bin->hasNSW() && !mulNeverOverflowsSigned(L.Val, R.Val)) {
       TermRef Wide =
           B.mkMul(B.mkSExt(L.Val, 2 * W), B.mkSExt(R.Val, 2 * W));
       Poison = B.mkOr(Poison, B.mkNe(Wide, B.mkSExt(Val, 2 * W)));

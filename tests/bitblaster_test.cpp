@@ -251,3 +251,82 @@ TEST(TermBuilderTest, EvaluateDeepChain) {
   std::map<unsigned, APInt> Assign{{X->VarId, APInt(16, 5)}};
   EXPECT_EQ(B.evaluate(T, Assign).getZExtValue(), (5 + 20000) & 0xFFFF);
 }
+
+// Structural gate hashing: AND is commutative, so both operand orders must
+// reach the same gate.
+TEST(BlasterTest, CommutedAndSharesOneGate) {
+  TermBuilder B;
+  TermRef X = B.mkVar(1, "x"), Y = B.mkVar(1, "y");
+  SatSolver S;
+  BitBlaster BB(S);
+  Lit XY = BB.blastBit(B.mkAnd(X, Y));
+  int Vars = S.numVars();
+  EXPECT_EQ(BB.blastBit(B.mkAnd(Y, X)), XY);
+  EXPECT_EQ(S.numVars(), Vars);
+}
+
+// Input negations of XOR fold into the sign of the output literal.
+TEST(BlasterTest, XorInputNegationFoldsIntoOutput) {
+  TermBuilder B;
+  TermRef X = B.mkVar(1, "x"), Y = B.mkVar(1, "y");
+  SatSolver S;
+  BitBlaster BB(S);
+  Lit XY = BB.blastBit(B.mkXor(X, Y));
+  int Vars = S.numVars();
+  EXPECT_EQ(BB.blastBit(B.mkXor(B.mkNot(X), Y)), -XY);
+  EXPECT_EQ(BB.blastBit(B.mkXor(Y, B.mkNot(X))), -XY);
+  EXPECT_EQ(BB.blastBit(B.mkXor(B.mkNot(X), B.mkNot(Y))), XY);
+  EXPECT_EQ(S.numVars(), Vars);
+}
+
+// A second multiplier over the same literals — reached from a different
+// term, as the source and target of a refinement query do — is the first
+// one: no new solver variable, identical output bits.
+TEST(BlasterTest, IdenticalMultiplierAddsNoVariables) {
+  const unsigned W = 13;
+  TermBuilder B;
+  TermRef X = B.mkVar(W, "x"), Y = B.mkVar(W, "y");
+  TermRef SameX = B.mkTrunc(B.mkZExt(X, 64), W);
+  TermRef SameY = B.mkTrunc(B.mkSExt(Y, 32), W);
+  TermRef First = B.mkMul(X, Y), Second = B.mkMul(SameX, SameY);
+  ASSERT_NE(First, Second);
+  SatSolver S;
+  BitBlaster BB(S);
+  std::vector<Lit> FirstBits = BB.blast(First);
+  int Vars = S.numVars();
+  EXPECT_EQ(BB.blast(Second), FirstBits);
+  EXPECT_EQ(S.numVars(), Vars);
+}
+
+// Multiplication commutes, its circuit does not: both operand orders must
+// blast to one multiplier, with or without a constant operand.
+TEST(BlasterTest, CommutedMultiplierAddsNoVariables) {
+  const unsigned W = 8;
+  TermBuilder B;
+  TermRef X = B.mkVar(W, "x"), Y = B.mkVar(W, "y");
+  TermRef C = B.mkConst(W, 0xA5);
+  SatSolver S;
+  BitBlaster BB(S);
+  std::vector<Lit> XY = BB.blast(B.mkMul(X, Y));
+  std::vector<Lit> XC = BB.blast(B.mkMul(X, C));
+  int Vars = S.numVars();
+  EXPECT_EQ(BB.blast(B.mkMul(Y, X)), XY);
+  EXPECT_EQ(BB.blast(B.mkMul(C, X)), XC);
+  EXPECT_EQ(S.numVars(), Vars);
+}
+
+// The low W bits of the 2W-bit product of extended operands are the W-bit
+// product's own gates, so an overflow check never duplicates the product.
+TEST(BlasterTest, WideExtendedProductSharesLowHalf) {
+  const unsigned W = 8;
+  TermBuilder B;
+  TermRef X = B.mkVar(W, "x"), Y = B.mkVar(W, "y");
+  SatSolver S;
+  BitBlaster BB(S);
+  std::vector<Lit> Narrow = BB.blast(B.mkMul(X, Y));
+  for (TermRef Wide : {B.mkMul(B.mkZExt(X, 2 * W), B.mkZExt(Y, 2 * W)),
+                       B.mkMul(B.mkSExt(Y, 2 * W), B.mkSExt(X, 2 * W))}) {
+    const std::vector<Lit> &Bits = BB.blast(Wide);
+    EXPECT_EQ(std::vector<Lit>(Bits.begin(), Bits.begin() + W), Narrow);
+  }
+}

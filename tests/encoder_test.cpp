@@ -82,7 +82,101 @@ unsigned crossCheck(const Function &F, unsigned Trials, uint64_t Seed) {
   return Compared;
 }
 
+/// One operand shape the mul-overflow fold reasons about, with every value
+/// (as a W-bit pattern) it takes over all assignments.
+struct OperandShape {
+  TermRef T;
+  std::vector<uint64_t> Values;
+};
+
+/// Every operand shape of width \p W the fold's helpers recognize: each
+/// constant, a free variable, and one- and two-level zext/sext chains over
+/// narrower variables.
+std::vector<OperandShape> operandShapes(TermBuilder &B, unsigned W) {
+  std::vector<OperandShape> Out;
+  for (uint64_t C = 0; C != (1u << W); ++C)
+    Out.push_back({B.mkConst(W, C), {C}});
+  auto Ext = [&](TermRef X, unsigned To, bool Zero) {
+    return Zero ? B.mkZExt(X, To) : B.mkSExt(X, To);
+  };
+  std::vector<TermRef> Chains{B.mkVar(W, "x")};
+  for (unsigned K = 1; K < W; ++K) {
+    TermRef X = B.mkVar(K, "x");
+    for (bool Inner : {false, true}) {
+      Chains.push_back(Ext(X, W, Inner));
+      for (unsigned J = K + 1; J < W; ++J)
+        for (bool Outer : {false, true})
+          Chains.push_back(Ext(Ext(X, J, Inner), W, Outer));
+    }
+  }
+  for (TermRef T : Chains) {
+    TermRef Var = T;
+    while (!Var->Ops.empty())
+      Var = Var->Ops[0];
+    OperandShape S{T, {}};
+    for (uint64_t V = 0; V != (1u << Var->Width); ++V)
+      S.Values.push_back(
+          B.evaluate(T, {{Var->VarId, APInt(Var->Width, V)}})
+              .getZExtValue());
+    Out.push_back(std::move(S));
+  }
+  return Out;
+}
+
+/// \p V as a signed W-bit number.
+int64_t signedValue(uint64_t V, unsigned W) {
+  return V >> (W - 1) ? (int64_t)V - ((int64_t)1 << W) : (int64_t)V;
+}
+
 } // namespace
+
+// The encoder drops the 2W-bit overflow check of mul nuw/nsw when the
+// operands' known leading zeros or sign bits rule overflow out. A wrong
+// "cannot overflow" would make the checker accept a target that adds
+// poison, so check the helpers and the fold by brute force: for every
+// width up to 8, every shape they recognize, and every value of it.
+TEST(EncoderTest, MulOverflowFoldIsSoundExhaustively) {
+  unsigned Folds = 0;
+  for (unsigned W = 1; W <= 8; ++W) {
+    TermBuilder B;
+    std::vector<OperandShape> Shapes = operandShapes(B, W);
+    for (const OperandShape &S : Shapes) {
+      unsigned LZ = knownLeadingZeros(S.T), SB = knownSignBits(S.T);
+      ASSERT_GE(SB, 1u);
+      for (uint64_t V : S.Values) {
+        // Every claimed leading zero and sign bit is really there.
+        for (unsigned I = 0; I != LZ; ++I)
+          ASSERT_EQ(V >> (W - 1 - I) & 1, 0u) << "width " << W;
+        for (unsigned I = 1; I < SB; ++I)
+          ASSERT_EQ(V >> (W - 1 - I) & 1, V >> (W - 1)) << "width " << W;
+      }
+    }
+    const int64_t Min = -((int64_t)1 << (W - 1)), Max = -Min - 1;
+    for (const OperandShape &L : Shapes)
+      for (const OperandShape &R : Shapes) {
+        bool NoUnsigned = mulNeverOverflowsUnsigned(L.T, R.T);
+        bool NoSigned = mulNeverOverflowsSigned(L.T, R.T);
+        Folds += NoUnsigned + NoSigned;
+        if (!NoUnsigned && !NoSigned)
+          continue;
+        for (uint64_t X : L.Values)
+          for (uint64_t Y : R.Values) {
+            if (NoUnsigned) {
+              ASSERT_LT(X * Y, (uint64_t)1 << W)
+                  << "width " << W << ": " << X << " * " << Y;
+            }
+            int64_t P = signedValue(X, W) * signedValue(Y, W);
+            if (NoSigned) {
+              ASSERT_TRUE(P >= Min && P <= Max)
+                  << "width " << W << ": " << signedValue(X, W) << " * "
+                  << signedValue(Y, W);
+            }
+          }
+      }
+  }
+  // The fold must not be vacuous.
+  EXPECT_GT(Folds, 0u);
+}
 
 TEST(EncoderTest, HandWrittenShapes) {
   const char *Shapes[] = {

@@ -569,6 +569,28 @@ join:
                   "O2");
 }
 
+TEST_F(OptTest, MulByPow2KeepsNswOnlyBelowSignBit) {
+  // mul nsw x, INT_MIN is defined at x = 1 (it yields INT_MIN), while
+  // shl nsw x, 31 is poison there: the rewrite must drop nsw for the
+  // sign-bit power, as LLVM does. @f is an unseeded -O2 miscompile found
+  // by a benchmark campaign; @g pins that smaller powers keep nsw.
+  std::string Out = optimizeChecked(R"(
+define i32 @f(i32 noundef %a1) {
+  %0 = urem i32 %a1, -1636910317
+  %1 = mul nsw i32 -2147483648, %0
+  ret i32 %1
+}
+
+define i32 @g(i32 %x) {
+  %m = mul nsw i32 %x, 4
+  ret i32 %m
+}
+)",
+                                    "O2");
+  EXPECT_FALSE(contains(Out, "shl nsw i32 %0, 31")) << Out;
+  EXPECT_TRUE(contains(Out, "shl nsw i32 %x, 2")) << Out;
+}
+
 TEST_F(OptTest, PipelineParsing) {
   PassManager PM;
   std::string Err;

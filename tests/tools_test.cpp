@@ -163,6 +163,14 @@ TEST_F(ToolsTest, AmutTvDetectsMiscompile) {
             2);
 }
 
+TEST_F(ToolsTest, AmutTvUsageListsItsFlags) {
+  std::string Out = TmpDir + "/usage.txt";
+  EXPECT_EQ(runCmd("(" + tool("amut-tv") + " > " + Out + ")"), 1);
+  std::string Usage = readFile(Out);
+  EXPECT_NE(Usage.find("-budget=<conflicts>"), std::string::npos) << Usage;
+  EXPECT_NE(Usage.find("-trials=<n>"), std::string::npos) << Usage;
+}
+
 TEST_F(ToolsTest, AmutOptCrashExitCode) {
   // A direct trigger for seeded crash 64687 through the standalone opt
   // tool: non-power-of-two alignment + -inject-bugs => SIGABRT-style 134.

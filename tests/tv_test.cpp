@@ -10,7 +10,9 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "opt/Pass.h"
 #include "parser/Parser.h"
+#include "parser/Printer.h"
 #include "tv/RefinementChecker.h"
 
 #include <gtest/gtest.h>
@@ -31,6 +33,34 @@ TVResult check(const std::string &IR, const TVOptions &Opts = TVOptions()) {
   EXPECT_NE(Src, nullptr);
   EXPECT_NE(Tgt, nullptr);
   return checkRefinement(*Src, *Tgt, Opts);
+}
+
+/// Optimizes the single function @f of \p IR with -O2 and checks the
+/// result against the original at the default options. \p Optimized
+/// receives the optimized function's text.
+TVResult checkAgainstO2(const std::string &IR, std::string &Optimized) {
+  std::string Err;
+  auto M = parseModule(IR, Err);
+  EXPECT_NE(M, nullptr) << Err;
+  if (!M)
+    return TVResult();
+  auto Opt = cloneModule(*M);
+  PassManager PM;
+  EXPECT_TRUE(buildPipeline("O2", PM, Err)) << Err;
+  PM.runToFixpoint(*Opt);
+  Optimized = printFunction(*Opt->getFunction("f"));
+  return checkRefinement(*M->getFunction("f"), *Opt->getFunction("f"));
+}
+
+/// Runs \p Fn of \p IR on \p Args in the interpreter.
+ExecResult replay(const std::string &IR, const std::string &Fn,
+                  const std::vector<ConcVal> &Args) {
+  std::string Err;
+  auto M = parseModule(IR, Err);
+  EXPECT_NE(M, nullptr) << Err;
+  Memory Mem;
+  Interpreter Interp(Mem, ExecOptions());
+  return Interp.run(*M->getFunction(Fn), Args);
 }
 
 } // namespace
@@ -652,4 +682,162 @@ done:
   EXPECT_EQ(R.Verdict, TVVerdict::Correct) << R.Detail;
   EXPECT_NE(R.Detail.find("vacuous on target"), std::string::npos)
       << R.Detail;
+}
+
+// The solver tail of the seed corpus. -O2 adds nuw to the zext square of
+// pr4917_4; its overflow check used to be a second, 128-bit multiplier the
+// solver had to prove consistent with the 64-bit one, and the query ran
+// out of the default budget. The operands' known leading zeros rule the
+// overflow out before blasting.
+TEST(TVTest, ZextSquareNuwIsDecidedWithinFewConflicts) {
+  std::string Optimized;
+  TVResult R = checkAgainstO2(R"(
+define i1 @f(i32 %x) {
+entry:
+  %r = zext i32 %x to i64
+  %mul = mul i64 %r, %r
+  %res = icmp ule i64 %mul, 4294967295
+  ret i1 %res
+}
+)",
+                              Optimized);
+  ASSERT_NE(Optimized.find("mul nuw i64"), std::string::npos) << Optimized;
+  EXPECT_EQ(R.Verdict, TVVerdict::Correct) << R.Detail;
+  EXPECT_FALSE(R.UsedConcretePath);
+  EXPECT_LT(R.SolverStats.Conflicts, 100u);
+}
+
+// A mutant of the same function: -O2 rewrites the square of
+// trunc(zext x) into the square of trunc x. Both multipliers blast over the
+// same input literals, so structural gate hashing makes them one circuit
+// instead of leaving the solver to prove two copies equal.
+TEST(TVTest, TruncZextSquareMutantIsDecidedWithinFewConflicts) {
+  std::string Optimized;
+  TVResult R = checkAgainstO2(R"(
+define i1 @f(i32 %x) {
+entry:
+  %r = zext i32 %x to i64
+  %0 = trunc i64 %r to i13
+  %1 = trunc i64 %r to i13
+  %2 = mul i13 %0, %1
+  %3 = sext i13 %2 to i64
+  %res = icmp ule i64 %3, 4294967295
+  ret i1 %res
+}
+)",
+                              Optimized);
+  ASSERT_NE(Optimized.find("trunc i32 %x to i13"), std::string::npos)
+      << Optimized;
+  EXPECT_EQ(R.Verdict, TVVerdict::Correct) << R.Detail;
+  EXPECT_FALSE(R.UsedConcretePath);
+  EXPECT_LT(R.SolverStats.Conflicts, 100u);
+}
+
+// -O2 moves the constant of a multiply to the right. The multiplier
+// circuit is not symmetric, so the bit-blaster fixes one operand order
+// itself; otherwise source and target blast two different 64-bit
+// multipliers and the query exhausts its budget.
+TEST(TVTest, CommutedMultiplyIsDecidedWithinFewConflicts) {
+  std::string Optimized;
+  TVResult R = checkAgainstO2(R"(
+define i1 @f(i32 %x) {
+entry:
+  %r = zext i32 %x to i64
+  %mul = mul i64 -1, %r
+  %res = icmp ule i64 %mul, 4294967295
+  ret i1 %res
+}
+)",
+                              Optimized);
+  ASSERT_NE(Optimized.find("mul i64 %r, -1"), std::string::npos) << Optimized;
+  EXPECT_EQ(R.Verdict, TVVerdict::Correct) << R.Detail;
+  EXPECT_FALSE(R.UsedConcretePath);
+  EXPECT_LT(R.SolverStats.Conflicts, 100u);
+}
+
+// GVN unifies b*a with a*b, so the target keeps one operand order where
+// the source had both: the same commuted-multiplier shape without a
+// constant.
+TEST(TVTest, GVNOfCommutedMultipliesIsDecidedWithinFewConflicts) {
+  std::string Optimized;
+  TVResult R = checkAgainstO2(R"(
+define i32 @f(i32 %a, i32 %b) {
+  %x = mul i32 %b, %a
+  %y = mul i32 %a, %b
+  %m = add i32 %x, %y
+  ret i32 %m
+}
+)",
+                              Optimized);
+  ASSERT_EQ(Optimized.find("mul i32 %a, %b"), std::string::npos)
+      << Optimized;
+  EXPECT_EQ(R.Verdict, TVVerdict::Correct) << R.Detail;
+  EXPECT_FALSE(R.UsedConcretePath);
+  EXPECT_LT(R.SolverStats.Conflicts, 100u);
+}
+
+// The fold must not fire where the product can wrap: 8 + 7 known leading
+// zeros are one short of i16, and 255 * 511 overflows.
+TEST(TVTest, PossibleMulNuwOverflowStaysIncorrect) {
+  const std::string Src = R"(
+define i16 @src(i8 %a, i9 %b) {
+  %x = zext i8 %a to i16
+  %y = zext i9 %b to i16
+  %m = mul i16 %x, %y
+  ret i16 %m
+}
+)";
+  const std::string Tgt = R"(
+define i16 @tgt(i8 %a, i9 %b) {
+  %x = zext i8 %a to i16
+  %y = zext i9 %b to i16
+  %m = mul nuw i16 %x, %y
+  ret i16 %m
+}
+)";
+  TVResult R = check(Src + Tgt);
+  ASSERT_EQ(R.Verdict, TVVerdict::Incorrect) << R.Detail;
+  ASSERT_EQ(R.CounterExample.size(), 2u);
+  uint64_t A = R.CounterExample[0].lane().Val.getZExtValue();
+  uint64_t B = R.CounterExample[1].lane().Val.getZExtValue();
+  EXPECT_GT(A * B, 0xFFFFu);
+  ExecResult S = replay(Src, "src", R.CounterExample);
+  ExecResult T = replay(Tgt, "tgt", R.CounterExample);
+  ASSERT_EQ(S.Status, ExecStatus::Ok);
+  ASSERT_EQ(T.Status, ExecStatus::Ok);
+  EXPECT_FALSE(S.Ret.anyPoison());
+  EXPECT_TRUE(T.Ret.anyPoison());
+}
+
+// The signed mirror: 9 + 8 known sign bits are not more than i16 + 1, and
+// -128 * -256 = 32768 overflows.
+TEST(TVTest, PossibleMulNswOverflowStaysIncorrect) {
+  const std::string Src = R"(
+define i16 @src(i8 %a, i9 %b) {
+  %x = sext i8 %a to i16
+  %y = sext i9 %b to i16
+  %m = mul i16 %x, %y
+  ret i16 %m
+}
+)";
+  const std::string Tgt = R"(
+define i16 @tgt(i8 %a, i9 %b) {
+  %x = sext i8 %a to i16
+  %y = sext i9 %b to i16
+  %m = mul nsw i16 %x, %y
+  ret i16 %m
+}
+)";
+  TVResult R = check(Src + Tgt);
+  ASSERT_EQ(R.Verdict, TVVerdict::Incorrect) << R.Detail;
+  ASSERT_EQ(R.CounterExample.size(), 2u);
+  int64_t A = R.CounterExample[0].lane().Val.getSExtValue();
+  int64_t B = R.CounterExample[1].lane().Val.getSExtValue();
+  EXPECT_TRUE(A * B > INT16_MAX || A * B < INT16_MIN) << A << " * " << B;
+  ExecResult S = replay(Src, "src", R.CounterExample);
+  ExecResult T = replay(Tgt, "tgt", R.CounterExample);
+  ASSERT_EQ(S.Status, ExecStatus::Ok);
+  ASSERT_EQ(T.Status, ExecStatus::Ok);
+  EXPECT_FALSE(S.Ret.anyPoison());
+  EXPECT_TRUE(T.Ret.anyPoison());
 }
