@@ -1169,10 +1169,13 @@ struct Heartbeat {
 };
 
 /// Shared stop flag ahead of the heartbeat slots: the only channel the
-/// parent has into the children.
-struct IsoControl {
+/// parent has into the children. Padded to the slots' alignment so their
+/// 8-byte atomics are never misaligned.
+struct alignas(Heartbeat) IsoControl {
   std::atomic<uint32_t> Stop;
 };
+static_assert(sizeof(IsoControl) % alignof(Heartbeat) == 0,
+              "the heartbeats start sizeof(IsoControl) into the page");
 
 constexpr uint64_t IdleOffset = ~0ull;
 

@@ -25,8 +25,9 @@ using namespace alive;
 
 namespace {
 
-/// Shared stop flag at the head of the control page.
-struct Control {
+/// Shared stop flag at the head of the control page, padded to the
+/// slots' alignment so the 8-byte atomics after it are never misaligned.
+struct alignas(std::atomic<uint64_t>) Control {
   std::atomic<uint32_t> Stop;
 };
 
@@ -39,6 +40,9 @@ struct HeartbeatSlot {
   std::atomic<uint64_t> Done; ///< iterations completed, cumulative
   std::atomic<uint64_t> Beat; ///< liveness tick for the wedge detector
 };
+
+static_assert(sizeof(Control) % alignof(HeartbeatSlot) == 0,
+              "the slots start sizeof(Control) into the page");
 
 Control *control(void *Page) { return static_cast<Control *>(Page); }
 

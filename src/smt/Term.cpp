@@ -8,6 +8,7 @@
 
 #include <cassert>
 #include <cstdint>
+#include <utility>
 
 using namespace alive;
 
@@ -55,6 +56,15 @@ TermRef TermBuilder::mkConst(const APInt &V) {
   return intern(std::move(T));
 }
 
+TermRef TermBuilder::mkBinary(TermKind Kind, TermRef A, TermRef B) {
+  Term T;
+  T.Kind = Kind;
+  T.Width = A->Width;
+  T.Ops = {A, B};
+  T.ConstVal = APInt::getZero(1);
+  return intern(std::move(T));
+}
+
 namespace {
 bool bothConst(TermRef A, TermRef B) { return A->isConst() && B->isConst(); }
 } // namespace
@@ -64,55 +74,79 @@ bool bothConst(TermRef A, TermRef B) { return A->isConst() && B->isConst(); }
     assert(A->Width == B->Width && "width mismatch");                         \
     if (bothConst(A, B))                                                      \
       return mkConst(FOLD);                                                   \
-    Term T;                                                                   \
-    T.Kind = TermKind::KIND;                                                  \
-    T.Width = A->Width;                                                       \
-    T.Ops = {A, B};                                                           \
-    T.ConstVal = APInt::getZero(1);                                           \
-    return intern(std::move(T));                                              \
+    return mkBinary(TermKind::KIND, A, B);                                    \
   }
 
 MK_BIN(mkAnd, And, A->ConstVal & B->ConstVal)
 MK_BIN(mkOr, Or, A->ConstVal | B->ConstVal)
 MK_BIN(mkXor, Xor, A->ConstVal ^ B->ConstVal)
-MK_BIN(mkAdd, Add, A->ConstVal + B->ConstVal)
-MK_BIN(mkSub, Sub, A->ConstVal - B->ConstVal)
-MK_BIN(mkMul, Mul, A->ConstVal *B->ConstVal)
 #undef MK_BIN
+
+// Division-by-divisor rewrites. A lowering of a - (a/b)*b to a % b leaves
+// the solver to prove a restoring divider and a multiplier consistent,
+// which no conflict budget covers. Rewritten at the word level, source and
+// target hash-cons to one term and the query folds before bit-blasting.
+// The rules match on term identity alone and never consult the optimizer
+// or analysis/KnownBits, so a bug there cannot hide the miscompile it
+// enables. Each holds modulo 2^W under the total convention: b == 0 gives
+// quotient 0 and remainder a, and INT_MIN sdiv -1 wraps with srem 0.
+
+TermRef TermBuilder::mkAdd(TermRef A, TermRef B) {
+  assert(A->Width == B->Width && "width mismatch");
+  if (bothConst(A, B))
+    return mkConst(A->ConstVal + B->ConstVal);
+  // (a - c) + c == a, in either operand order.
+  if (A->Kind == TermKind::Sub && A->Ops[1] == B)
+    return A->Ops[0];
+  if (B->Kind == TermKind::Sub && B->Ops[1] == A)
+    return B->Ops[0];
+  return mkBinary(TermKind::Add, A, B);
+}
+
+TermRef TermBuilder::mkSub(TermRef A, TermRef B) {
+  assert(A->Width == B->Width && "width mismatch");
+  if (bothConst(A, B))
+    return mkConst(A->ConstVal - B->ConstVal);
+  // a - (a - c) == c.
+  if (B->Kind == TermKind::Sub && B->Ops[0] == A)
+    return B->Ops[1];
+  return mkBinary(TermKind::Sub, A, B);
+}
+
+TermRef TermBuilder::mkMul(TermRef A, TermRef B) {
+  assert(A->Width == B->Width && "width mismatch");
+  if (bothConst(A, B))
+    return mkConst(A->ConstVal * B->ConstVal);
+  // (a udiv b) * b == a - (a urem b), and the sdiv/srem mirror, with the
+  // quotient on either side.
+  for (auto [Q, D] : {std::pair{A, B}, std::pair{B, A}}) {
+    bool Unsigned = Q->Kind == TermKind::UDiv;
+    if ((Unsigned || Q->Kind == TermKind::SDiv) && Q->Ops[1] == D) {
+      TermRef X = Q->Ops[0];
+      return mkSub(X, Unsigned ? mkURem(X, D) : mkSRem(X, D));
+    }
+  }
+  return mkBinary(TermKind::Mul, A, B);
+}
 
 #define MK_BIN_NOFOLD(NAME, KIND)                                             \
   TermRef TermBuilder::NAME(TermRef A, TermRef B) {                           \
     assert(A->Width == B->Width && "width mismatch");                         \
-    Term T;                                                                   \
-    T.Kind = TermKind::KIND;                                                  \
-    T.Width = A->Width;                                                       \
-    T.Ops = {A, B};                                                           \
-    T.ConstVal = APInt::getZero(1);                                           \
-    return intern(std::move(T));                                              \
+    return mkBinary(TermKind::KIND, A, B);                                    \
   }
 
 TermRef TermBuilder::mkUDiv(TermRef A, TermRef B) {
   assert(A->Width == B->Width && "width mismatch");
   if (bothConst(A, B) && !B->ConstVal.isZero())
     return mkConst(A->ConstVal.udiv(B->ConstVal));
-  Term T;
-  T.Kind = TermKind::UDiv;
-  T.Width = A->Width;
-  T.Ops = {A, B};
-  T.ConstVal = APInt::getZero(1);
-  return intern(std::move(T));
+  return mkBinary(TermKind::UDiv, A, B);
 }
 
 TermRef TermBuilder::mkURem(TermRef A, TermRef B) {
   assert(A->Width == B->Width && "width mismatch");
   if (bothConst(A, B) && !B->ConstVal.isZero())
     return mkConst(A->ConstVal.urem(B->ConstVal));
-  Term T;
-  T.Kind = TermKind::URem;
-  T.Width = A->Width;
-  T.Ops = {A, B};
-  T.ConstVal = APInt::getZero(1);
-  return intern(std::move(T));
+  return mkBinary(TermKind::URem, A, B);
 }
 
 MK_BIN_NOFOLD(mkSDiv, SDiv)

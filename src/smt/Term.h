@@ -38,7 +38,7 @@ enum class TermKind {
   Add,
   Sub,
   Mul,
-  UDiv, ///< total: value when divisor==0 is unconstrained via fresh var
+  UDiv, ///< total: divisor 0 gives quotient 0, and URem/SRem the dividend
   URem,
   SDiv,
   SRem,
@@ -96,6 +96,8 @@ public:
   TermRef mkAnd(TermRef A, TermRef B);
   TermRef mkOr(TermRef A, TermRef B);
   TermRef mkXor(TermRef A, TermRef B);
+  /// mkAdd, mkSub and mkMul rewrite (a/b)*b to a - a%b, a - (a - c) to c
+  /// and (a - c) + c to a, so they need not return a node of their kind.
   TermRef mkAdd(TermRef A, TermRef B);
   TermRef mkSub(TermRef A, TermRef B);
   TermRef mkMul(TermRef A, TermRef B);
@@ -131,6 +133,8 @@ public:
 
 private:
   TermRef intern(Term &&T);
+  /// Interns Kind(A, B) of A's width, with no folding or rewriting.
+  TermRef mkBinary(TermKind Kind, TermRef A, TermRef B);
 
   struct Key {
     TermKind Kind;

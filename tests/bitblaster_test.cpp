@@ -157,6 +157,25 @@ TEST(BlasterTest, AlgebraicIdentitiesAreUnsat) {
              B.mkAdd(B.mkMul(B.mkSDiv(X, Y), Y), B.mkSRem(X, Y)), X);
          return B.mkAnd(NZ, B.mkNot(Id));
        }},
+      // The builder rewrites (x/y)*y away, so the two rows above no longer
+      // reach a multiplier. Multiplying by a z the builder cannot tell is
+      // y still proves the restoring divider against the multiplier.
+      {"y!=0, z==y -> (x udiv y)*z + (x urem y) == x",
+       [&](TermBuilder &B, TermRef X, TermRef Y) {
+         TermRef Z = B.mkVar(W, "z");
+         TermRef Pre = B.mkAnd(B.mkNe(Y, B.mkConst(W, 0)), B.mkEq(Z, Y));
+         TermRef Id = B.mkEq(
+             B.mkAdd(B.mkMul(B.mkUDiv(X, Y), Z), B.mkURem(X, Y)), X);
+         return B.mkAnd(Pre, B.mkNot(Id));
+       }},
+      {"y!=0, z==y -> (x sdiv y)*z + (x srem y) == x",
+       [&](TermBuilder &B, TermRef X, TermRef Y) {
+         TermRef Z = B.mkVar(W, "z");
+         TermRef Pre = B.mkAnd(B.mkNe(Y, B.mkConst(W, 0)), B.mkEq(Z, Y));
+         TermRef Id = B.mkEq(
+             B.mkAdd(B.mkMul(B.mkSDiv(X, Y), Z), B.mkSRem(X, Y)), X);
+         return B.mkAnd(Pre, B.mkNot(Id));
+       }},
       {"slt == ult with flipped signs",
        [&](TermBuilder &B, TermRef X, TermRef Y) {
          TermRef Flip = B.mkConst(APInt::getSignedMinValue(W));
@@ -239,6 +258,125 @@ TEST(TermBuilderTest, HashConsing) {
   EXPECT_EQ(B.mkNot(B.mkNot(X)), X);
   EXPECT_EQ(B.mkIte(B.mkTrue(), X, B.mkConst(8, 0)), X);
   EXPECT_EQ(B.mkIte(B.mkVar(1, "c"), X, X), X);
+}
+
+namespace {
+
+/// Widths up to which the rewrite test blasts every point: one fresh
+/// solver per point is too slow for the 2^16 pairs of width 8.
+constexpr unsigned MaxPointwiseBlastWidth = 6;
+
+/// Checks that \p T, with every variable of \p Pins fixed to its value,
+/// evaluates to \p Expected, and blasts to it when \p Blast is set.
+void expectValue(TermBuilder &B, TermRef T,
+                 const std::vector<std::pair<TermRef, APInt>> &Pins,
+                 const APInt &Expected, bool Blast, const std::string &What) {
+  std::map<unsigned, APInt> Assign;
+  for (const auto &[Var, V] : Pins)
+    Assign.emplace(Var->VarId, V);
+  ASSERT_EQ(B.evaluate(T, Assign), Expected) << What;
+  if (!Blast)
+    return;
+  SatSolver S;
+  BitBlaster BB(S);
+  for (const auto &[Var, V] : Pins)
+    BB.assertTrue(B.mkEq(Var, B.mkConst(V)));
+  BB.blast(T);
+  ASSERT_EQ(S.solve(), SatSolver::Result::Sat) << What;
+  ASSERT_EQ(BB.modelValue(T), Expected) << What;
+}
+
+} // namespace
+
+// The builder rewrites (a/b)*b to a - a%b, a - (a - c) to c and
+// (a - c) + c to a, so a wrong rule would make the checker call a
+// miscompile correct. Check each against APInt by brute force: every
+// width up to 8 (6 for the rules with a third operand), every operand
+// value, b == 0 and INT_MIN sdiv -1 included, both quotient sides. The
+// rewritten term's evaluation must equal the value computed without the
+// rewrite, and so must its blasted model: point by point up to width 6,
+// and above it by proving the rewritten circuit equal to the multiplier
+// it replaced, reached through a z == y the builder cannot match.
+TEST(TermBuilderTest, DivisorRewritesAreSoundExhaustively) {
+  for (unsigned W = 1; W <= 8; ++W) {
+    TermBuilder B;
+    TermRef X = B.mkVar(W, "x"), Y = B.mkVar(W, "y");
+    bool Blast = W <= MaxPointwiseBlastWidth;
+    for (bool Signed : {false, true}) {
+      TermRef Q = Signed ? B.mkSDiv(X, Y) : B.mkUDiv(X, Y);
+      TermRef Rem = Signed ? B.mkSRem(X, Y) : B.mkURem(X, Y);
+      TermRef Left = B.mkMul(Q, Y), Right = B.mkMul(Y, Q);
+      // The rule fires on both sides, and a - (a/b)*b becomes a % b.
+      ASSERT_EQ(Left->Kind, TermKind::Sub);
+      ASSERT_EQ(Right, Left);
+      ASSERT_EQ(B.mkSub(X, Left), Rem);
+      for (uint64_t AV = 0; AV >> W == 0; ++AV)
+        for (uint64_t DV = 0; DV >> W == 0; ++DV) {
+          APInt A(W, AV), D(W, DV);
+          APInt Quot = D.isZero() ? APInt::getZero(W)
+                       : Signed   ? A.sdiv(D)
+                                  : A.udiv(D);
+          std::string What = std::string(Signed ? "sdiv" : "udiv") +
+                             " width " + std::to_string(W) + ": " +
+                             A.toString() + ", " + D.toString();
+          ASSERT_NO_FATAL_FAILURE(
+              expectValue(B, Left, {{X, A}, {Y, D}}, Quot * D, Blast, What));
+        }
+      if (Blast)
+        continue;
+      TermRef Z = B.mkVar(W, "z");
+      TermRef Product = B.mkMul(Q, Z);
+      ASSERT_EQ(Product->Kind, TermKind::Mul);
+      SatSolver S;
+      BitBlaster BB(S);
+      BB.assertTrue(B.mkEq(Z, Y));
+      BB.assertTrue(B.mkNe(Left, Product));
+      EXPECT_EQ(S.solve(), SatSolver::Result::Unsat)
+          << (Signed ? "sdiv" : "udiv") << " width " << W;
+    }
+    if (!Blast)
+      continue;
+    TermRef C = B.mkVar(W, "c");
+    TermRef XMinusC = B.mkSub(X, C);
+    TermRef SubSub = B.mkSub(X, XMinusC);
+    TermRef AddLeft = B.mkAdd(XMinusC, C), AddRight = B.mkAdd(C, XMinusC);
+    ASSERT_EQ(SubSub, C);
+    ASSERT_EQ(AddLeft, X);
+    ASSERT_EQ(AddRight, X);
+    for (uint64_t AV = 0; AV >> W == 0; ++AV)
+      for (uint64_t CV = 0; CV >> W == 0; ++CV) {
+        APInt A(W, AV), CC(W, CV);
+        std::string What = "width " + std::to_string(W) + ": " +
+                           A.toString() + ", " + CC.toString();
+        for (TermRef T : {SubSub, AddLeft, AddRight})
+          ASSERT_NO_FATAL_FAILURE(
+              expectValue(B, T, {{X, A}, {C, CC}},
+                          T == C ? A - (A - CC) : (A - CC) + CC, true, What));
+      }
+  }
+}
+
+// The rules match the divisor by term identity: (x udiv y) * z with z != y
+// is the shape of the seeded PR55287 defect and must stay a multiply, and
+// near misses of the sub and add rules must stay as built.
+TEST(TermBuilderTest, DivisorRewritesNeedTheSameTerm) {
+  const unsigned W = 8;
+  TermBuilder B;
+  TermRef X = B.mkVar(W, "x"), Y = B.mkVar(W, "y"), Z = B.mkVar(W, "z");
+  for (TermRef Q : {B.mkUDiv(X, Y), B.mkSDiv(X, Y)}) {
+    EXPECT_EQ(B.mkMul(Q, Z)->Kind, TermKind::Mul);
+    EXPECT_EQ(B.mkMul(Z, Q)->Kind, TermKind::Mul);
+    EXPECT_EQ(B.mkMul(Q, X)->Kind, TermKind::Mul);
+    EXPECT_EQ(B.mkSub(X, B.mkMul(Q, Z))->Kind, TermKind::Sub);
+  }
+  // A divisor equal in value but built as a different term.
+  TermRef SameY = B.mkTrunc(B.mkZExt(Y, 2 * W), W);
+  EXPECT_EQ(B.mkMul(B.mkUDiv(X, Y), SameY)->Kind, TermKind::Mul);
+  TermRef YMinusX = B.mkSub(Y, X);
+  EXPECT_EQ(B.mkSub(X, YMinusX)->Kind, TermKind::Sub);
+  EXPECT_EQ(B.mkSub(Z, B.mkSub(X, Y))->Kind, TermKind::Sub);
+  EXPECT_EQ(B.mkAdd(B.mkSub(X, Y), Z)->Kind, TermKind::Add);
+  EXPECT_EQ(B.mkAdd(YMinusX, Y)->Kind, TermKind::Add);
 }
 
 TEST(TermBuilderTest, EvaluateDeepChain) {

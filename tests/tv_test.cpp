@@ -841,3 +841,76 @@ define i16 @tgt(i8 %a, i9 %b) {
   EXPECT_FALSE(S.Ret.anyPoison());
   EXPECT_TRUE(T.Ret.anyPoison());
 }
+
+namespace {
+
+/// The sound lowering of PR55287, x - (x/y)*y -> x%y, as @src and @tgt
+/// with \p Attr on %y, \p SubFlags on the sub and \p Div/\p Rem the
+/// division pair.
+std::string remRecompose(const std::string &Attr, const std::string &SubFlags,
+                         const std::string &Div, const std::string &Rem) {
+  return "define i8 @src(i8 %x, i8 " + Attr + "%y) {\n  %d = " + Div +
+         " i8 %x, %y\n  %m = mul i8 %d, %y\n  %r = sub " + SubFlags +
+         "i8 %x, %m\n  ret i8 %r\n}\n"
+         "define i8 @tgt(i8 %x, i8 " + Attr + "%y) {\n  %r = " + Rem +
+         " i8 %x, %y\n  ret i8 %r\n}\n";
+}
+
+} // namespace
+
+// The solver tail of the pr55287 defect-hunt campaign: this sound lowering
+// in the attribute and flag variants its mutants produce, plus the sdiv
+// mirror. Proving a restoring divider against a multiplier used to exhaust
+// the 4000-conflict budget; the builder now rewrites (x/y)*y to x - x%y,
+// so source and target are one term before any bit is blasted.
+TEST(TVTest, RemRecomposeIsDecidedWithinFewConflicts) {
+  struct Variant {
+    const char *Attr, *SubFlags, *Div, *Rem;
+  };
+  const Variant Variants[] = {
+      {"", "", "udiv", "urem"},         {"", "nsw ", "udiv", "urem"},
+      {"", "nuw ", "udiv", "urem"},     {"noundef ", "", "udiv", "urem"},
+      {"", "", "sdiv", "srem"},         {"noundef ", "nsw ", "sdiv", "srem"},
+  };
+  TVOptions Opts;
+  Opts.SolverConflictBudget = 4000;
+  for (const Variant &V : Variants) {
+    std::string IR = remRecompose(V.Attr, V.SubFlags, V.Div, V.Rem);
+    TVResult R = check(IR, Opts);
+    EXPECT_EQ(R.Verdict, TVVerdict::Correct) << IR << R.Detail;
+    EXPECT_FALSE(R.UsedConcretePath) << IR;
+    EXPECT_LT(R.SolverStats.Conflicts, 100u) << IR;
+  }
+}
+
+// The seeded PR55287 defect also lowers x - (x/y)*z with z != y. The
+// rewrite needs the same divisor term, so the miscompile stays visible,
+// and its counterexample is a real one.
+TEST(TVTest, RemRecomposeWithOtherMultiplierStaysIncorrect) {
+  const std::string Src = R"(
+define i8 @src(i8 %x, i8 %y, i8 %z) {
+  %d = udiv i8 %x, %y
+  %m = mul i8 %d, %z
+  %r = sub i8 %x, %m
+  ret i8 %r
+}
+)";
+  const std::string Tgt = R"(
+define i8 @tgt(i8 %x, i8 %y, i8 %z) {
+  %r = urem i8 %x, %y
+  ret i8 %r
+}
+)";
+  TVOptions Opts;
+  Opts.SolverConflictBudget = 4000;
+  TVResult R = check(Src + Tgt, Opts);
+  ASSERT_EQ(R.Verdict, TVVerdict::Incorrect) << R.Detail;
+  ASSERT_EQ(R.CounterExample.size(), 3u);
+  ExecResult S = replay(Src, "src", R.CounterExample);
+  ExecResult T = replay(Tgt, "tgt", R.CounterExample);
+  ASSERT_EQ(S.Status, ExecStatus::Ok);
+  ASSERT_EQ(T.Status, ExecStatus::Ok);
+  EXPECT_FALSE(S.Ret.anyPoison());
+  EXPECT_FALSE(T.Ret.anyPoison());
+  EXPECT_NE(S.Ret.lane().Val, T.Ret.lane().Val);
+}
