@@ -20,12 +20,9 @@
 #include <filesystem>
 #include <fstream>
 #include <mutex>
-#include <new>
 #include <thread>
 
-#include <sys/mman.h>
 #include <sys/resource.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 using namespace alive;
@@ -166,7 +163,7 @@ CampaignLiveSnapshot CampaignEngine::liveSnapshot() const {
   std::lock_guard<std::mutex> Lock(LiveM);
   S.Running = Live.Running;
   S.Isolated = Live.Isolated;
-  S.Degraded = DegradedFlag;
+  S.Degraded = DegradedFlag.load(std::memory_order_relaxed);
   S.Workers = Live.Running ? Live.Workers : Jobs;
   S.Target = Live.Running ? Live.Target : Opts.Iterations;
   S.FeedbackEnabled = Opts.Feedback.Enabled;
@@ -262,15 +259,14 @@ CampaignProfile CampaignEngine::profileSnapshot() const {
   return P;
 }
 
-namespace {
-
 /// One worker: a private FuzzerLoop over a private master-module clone,
-/// plus the atomic counters the reporter thread reads and the thread's
-/// measured wall time.
-struct Worker {
+/// plus the atomic counters the reporter thread reads.
+struct CampaignEngine::Worker {
   std::unique_ptr<FuzzerLoop> Loop;
   unsigned Index = 0;
-  /// Static seed-offset partition [Lo, Hi) (iteration-bounded mode).
+  /// Seed-offset range [Lo, Hi): the worker's static slice (blind,
+  /// iteration-bounded) or the whole campaign (feedback; empty when
+  /// time-limited).
   uint64_t Lo = 0, Hi = 0;
   /// Next seed offset to run; advanced by the dispatch loop, read by the
   /// checkpoint writer.
@@ -278,8 +274,9 @@ struct Worker {
   std::atomic<uint64_t> Done{0};
   /// Live per-stage nanoseconds: mutate, optimize, verify, overhead.
   std::atomic<uint64_t> StageNanos[4] = {};
-  double ThreadSeconds = 0;
 };
+
+namespace {
 
 /// Sums every per-iteration counter and phase timer of \p From into
 /// \p Into. TotalSeconds is deliberately excluded: summing wall-clock
@@ -327,6 +324,10 @@ void settleWorkerSeconds(FuzzerLoop &Loop, double LegSeconds) {
   if (S.WorkerSeconds > Staged)
     S.OverheadSeconds += S.WorkerSeconds - Staged;
   Loop.restoreState(S, Loop.bugs());
+}
+
+bool bySeed(const BugRecord &A, const BugRecord &B) {
+  return A.MutantSeed < B.MutantSeed;
 }
 
 /// The wall-clock backstop: polls each loop's watchdog serial a few times
@@ -406,6 +407,174 @@ private:
 
 } // namespace
 
+FuzzOptions
+CampaignEngine::workerOptions(unsigned Index, uint64_t Lo, uint64_t Hi,
+                              const std::vector<std::string> &Testable) const {
+  FuzzOptions WOpts = Opts;
+  WOpts.SelfCheckOnLoad = false;
+  WOpts.OnlyFunctions = Testable;
+  WOpts.Events = Events;
+  WOpts.WorkerIndex = Index;
+  WOpts.BaseSeed = Opts.BaseSeed + Lo;
+  WOpts.Iterations = Hi - Lo;
+  return WOpts;
+}
+
+CampaignEngine::WorkerList
+CampaignEngine::makeWorkers(unsigned J,
+                            const std::vector<std::string> &Testable,
+                            bool Slice) {
+  // Built up front on this thread: module cloning allocates into
+  // per-module interning contexts; keep that serial and simple.
+  WorkerList Workers;
+  for (unsigned I = 0; I != J; ++I) {
+    auto W = std::make_unique<Worker>();
+    W->Index = I;
+    W->Hi = Opts.Iterations;
+    if (Slice) {
+      // Static contiguous partition: worker I owns seeds
+      // [BaseSeed + Lo, BaseSeed + Hi) — ascending across workers, so a
+      // merge in worker order reproduces the sequential bug order.
+      W->Lo = Opts.Iterations * I / J;
+      W->Hi = Opts.Iterations * (I + 1) / J;
+      W->Next.store(W->Lo, std::memory_order_relaxed);
+    }
+    FuzzOptions WOpts = workerOptions(I, W->Lo, W->Hi, Testable);
+    WOpts.Progress = &W->Done;
+    WOpts.StageNanos = W->StageNanos;
+    W->Loop = std::make_unique<FuzzerLoop>(WOpts);
+    // Workers only fuzz the testable set — hand them a subset clone whose
+    // non-testable functions are declaration stubs instead of paying a
+    // full deep copy per worker (and per mutant inside the loop).
+    W->Loop->loadModule(cloneModuleSubset(*MasterLoop->module(), Testable));
+    Workers.push_back(std::move(W));
+  }
+  return Workers;
+}
+
+void CampaignEngine::startSampler(const WorkerList &Workers) {
+  // The wall-clock sampler rides the workers' live span stacks for the
+  // whole run window. Created under LiveM so profileSnapshot() never sees
+  // a half-built sampler.
+  if (!Opts.Profile.Enabled)
+    return;
+  auto SP = std::make_unique<SamplingProfiler>(Opts.Profile.SamplingIntervalMs);
+  for (auto &W : Workers)
+    SP->attach("w" + std::to_string(W->Index), W->Loop->trace());
+  SP->start();
+  std::lock_guard<std::mutex> G(LiveM);
+  Sampler = std::move(SP);
+}
+
+bool CampaignEngine::checkCheckpointIdentity(const std::string &Dir,
+                                             unsigned Shards) {
+  // The meta pins everything the seed schedule and the partition depend
+  // on, so a stale/mismatched checkpoint is a config error, never a
+  // silently-wrong merge.
+  CheckpointMeta Cur;
+  Cur.Passes = Opts.Passes;
+  Cur.Iterations = Opts.Iterations;
+  Cur.BaseSeed = Opts.BaseSeed;
+  Cur.Jobs = Shards;
+  Cur.MaxMutationsPerFunction = Opts.Mutation.MaxMutationsPerFunction;
+  Cur.InjectBugs = !Opts.Bugs.empty();
+  if (Opts.Feedback.Enabled) {
+    Cur.FeedbackOn = true;
+    Cur.EpochLength = std::max(1u, Opts.Feedback.EpochLength);
+  }
+  Cur.ModuleHash = hashModuleText(printModule(*MasterLoop->module()));
+  std::string Err;
+  if (Opts.Survival.Resume) {
+    CheckpointMeta Stored;
+    if (!readCheckpointMeta(Dir, Stored, Err) ||
+        !checkpointMetaMatches(Stored, Cur, Err)) {
+      ConfigError = "cannot resume: " + Err;
+      return false;
+    }
+  } else if (!writeCheckpointMeta(Dir, Cur, Err)) {
+    ConfigError = Err;
+    return false;
+  }
+  return true;
+}
+
+void CampaignEngine::resetMerged() {
+  Stats = FuzzStats();
+  Stats.FunctionsDropped = MasterLoop->stats().FunctionsDropped;
+  Bugs.clear();
+  SaveDirError.clear();
+  BundleError.clear();
+  Registry = StatRegistry();
+  Registry.merge(MasterLoop->registry());
+  Traces.clear();
+  TraceNames.clear();
+}
+
+void CampaignEngine::mergeWorkers(const WorkerList &Workers) {
+  // Deterministic merge. Stats: master preprocessing (FunctionsDropped)
+  // plus every worker's counters. Bugs: concatenated in worker order;
+  // callers whose workers interleave seeds re-sort by seed.
+  resetMerged();
+  // Collect the flight-recorder tracks now — the workers die with the
+  // caller's scope, the recorders must not. All tracks share one
+  // process-global epoch, so the merged timeline lines up across threads.
+  // Ring overwrites are a volatile artifact of scheduling and capacity,
+  // surfaced per track in the report's "trace" block and summed here.
+  auto TakeTrace = [this](FuzzerLoop &Loop, std::string Name) {
+    if (auto T = Loop.takeTrace()) {
+      Registry.counter("trace.dropped_events", Volatility::Volatile) +=
+          T->dropped();
+      Traces.push_back(std::move(T));
+      TraceNames.push_back(std::move(Name));
+    }
+  };
+  TakeTrace(*MasterLoop, "master");
+  std::vector<const QueryCostTracker *> CostTrackers;
+  for (const auto &W : Workers) {
+    FuzzerLoop &Loop = *W->Loop;
+    if (const QueryCostTracker *QT = Loop.queryCosts())
+      CostTrackers.push_back(QT);
+    accumulate(Stats, Loop.stats());
+    Registry.merge(Loop.registry());
+    if (SaveDirError.empty())
+      SaveDirError = Loop.saveDirError();
+    if (BundleError.empty())
+      BundleError = Loop.bundleError();
+    TakeTrace(Loop, "worker " + std::to_string(W->Index));
+    Bugs.insert(Bugs.end(), Loop.bugs().begin(), Loop.bugs().end());
+  }
+  finishProfile(CostTrackers);
+}
+
+CampaignProgress
+CampaignEngine::progressSnapshot(uint64_t Done, double Elapsed,
+                                 unsigned Shards,
+                                 const WorkerList &Workers) const {
+  CampaignProgress P;
+  P.Done = Done;
+  P.Target = Opts.Iterations;
+  P.Elapsed = Elapsed;
+  P.Workers = Shards;
+  if (P.Elapsed > 0)
+    P.Rate = (double)P.Done / P.Elapsed;
+  if (P.Target == 0)
+    P.EtaSeconds = std::max(0.0, Opts.TimeLimitSeconds - P.Elapsed);
+  else if (P.Rate > 0)
+    P.EtaSeconds = (double)(P.Target - P.Done) / P.Rate;
+  uint64_t Stage[4] = {};
+  for (const auto &W : Workers)
+    for (unsigned I = 0; I != 4; ++I)
+      Stage[I] += W->StageNanos[I].load(std::memory_order_relaxed);
+  double StageSum = (double)(Stage[0] + Stage[1] + Stage[2] + Stage[3]);
+  if (StageSum > 0) {
+    P.MutateShare = Stage[0] / StageSum;
+    P.OptimizeShare = Stage[1] / StageSum;
+    P.VerifyShare = Stage[2] / StageSum;
+    P.OverheadShare = Stage[3] / StageSum;
+  }
+  return P;
+}
+
 const FuzzStats &CampaignEngine::run() {
   if (!ConfigError.empty())
     return Stats;
@@ -421,26 +590,20 @@ const FuzzStats &CampaignEngine::run() {
   const SurvivalOptions &SV = Opts.Survival;
   const bool TimeLimited = Opts.Iterations == 0;
   const bool Checkpointing = !SV.CheckpointDir.empty();
-  if ((Checkpointing || SV.Isolate || SV.Fanout) &&
+  if ((Checkpointing || SV.Fanout) &&
       (TimeLimited || Opts.TimeLimitSeconds > 0)) {
     // A time-limited campaign has no reproducible seed schedule: neither a
     // resumed run nor a harvested shard could reconstruct "where it was".
     // That includes -n combined with -t: the static dispatch ignores the
     // time limit, so accepting the combination would silently checkpoint
     // a campaign whose advertised bound is not the one being enforced.
-    ConfigError = "checkpointing, -isolate and -fanout require an "
-                  "iteration-bounded campaign: replace -t with -n";
+    ConfigError = "checkpointing and -fanout require an iteration-bounded "
+                  "campaign: replace -t with -n";
     return Stats;
   }
   if (SV.Fanout) {
-    // The supervised fan-out shares -isolate's process-boundary coherence
-    // matrix (shard state lives in children the parent cannot trace,
-    // profile or epoch-merge) and is itself a process supervisor.
-    if (SV.Isolate) {
-      ConfigError = "-fanout and -isolate are both process supervisors: "
-                    "pick one";
-      return Stats;
-    }
+    // Shard state lives in children the parent cannot trace, profile or
+    // epoch-merge.
     if (Opts.Feedback.Enabled) {
       ConfigError = "-feedback cannot run with -fanout: supervised shards "
                     "have no epoch barrier to merge coverage at";
@@ -460,17 +623,11 @@ const FuzzStats &CampaignEngine::run() {
   if (Opts.Feedback.Enabled) {
     // Feedback's own coherence matrix. The schedule makes a mutant a
     // function of (seed, campaign history): -t has no deterministic
-    // history; -isolate shards cannot share the epoch barrier; bug
-    // bundles regenerate their mutation trail schedule-free and would
-    // describe a different mutant than the one that failed.
+    // history; bug bundles regenerate their mutation trail schedule-free
+    // and would describe a different mutant than the one that failed.
     if (TimeLimited || Opts.TimeLimitSeconds > 0) {
       ConfigError = "-feedback requires an iteration-bounded campaign: "
                     "replace -t with -n";
-      return Stats;
-    }
-    if (SV.Isolate) {
-      ConfigError = "-feedback cannot run with -isolate: isolated shards "
-                    "have no epoch barrier to merge coverage at";
       return Stats;
     }
     if (!Opts.BugBundleDir.empty()) {
@@ -482,18 +639,6 @@ const FuzzStats &CampaignEngine::run() {
   }
   if (SV.Resume && !Checkpointing) {
     ConfigError = "resume requires a checkpoint directory";
-    return Stats;
-  }
-  if (SV.Isolate && Opts.TraceEnabled) {
-    ConfigError = "-isolate cannot collect flight-recorder traces from "
-                  "child processes; drop tracing or -isolate";
-    return Stats;
-  }
-  if (SV.Isolate && Opts.Profile.Enabled) {
-    // Same process boundary as tracing: the trackers and live span stacks
-    // live in the children, where the parent can neither sample nor merge.
-    ConfigError = "-isolate cannot profile child processes; drop -profile "
-                  "or -isolate";
     return Stats;
   }
 
@@ -515,82 +660,28 @@ const FuzzStats &CampaignEngine::run() {
 
   emitEvent(CampaignEvent::Kind::CampaignStart, Opts.BaseSeed, 0,
             SV.Fanout               ? "fanout"
-            : SV.Isolate            ? "isolate"
             : Opts.Feedback.Enabled ? "feedback"
             : TimeLimited           ? "time-limited"
                                     : "blind");
 
   if (SV.Fanout)
     return runSupervised(Testable, Total);
-  if (SV.Isolate)
-    return runIsolated(J, Testable, Total);
   if (Opts.Feedback.Enabled)
     return runFeedback(J, Testable, Total);
 
-  // Checkpoint-directory identity: write it fresh, or verify it against a
-  // resume. The meta pins everything the seed schedule and the partition
-  // depend on, so a stale/mismatched checkpoint is a config error, never
-  // a silently-wrong merge.
-  if (Checkpointing) {
-    CheckpointMeta Cur;
-    Cur.Passes = Opts.Passes;
-    Cur.Iterations = Opts.Iterations;
-    Cur.BaseSeed = Opts.BaseSeed;
-    Cur.Jobs = J;
-    Cur.MaxMutationsPerFunction = Opts.Mutation.MaxMutationsPerFunction;
-    Cur.InjectBugs = !Opts.Bugs.empty();
-    Cur.ModuleHash = hashModuleText(printModule(*MasterLoop->module()));
-    std::string Err;
-    if (SV.Resume) {
-      CheckpointMeta Stored;
-      if (!readCheckpointMeta(SV.CheckpointDir, Stored, Err) ||
-          !checkpointMetaMatches(Stored, Cur, Err)) {
-        ConfigError = "cannot resume: " + Err;
-        return Stats;
-      }
-    } else if (!writeCheckpointMeta(SV.CheckpointDir, Cur, Err)) {
-      ConfigError = Err;
-      return Stats;
-    }
-  }
-
-  // Build the workers up front on this thread (module cloning allocates
-  // into per-module interning contexts; keep that serial and simple).
-  std::vector<std::unique_ptr<Worker>> Workers;
-  for (unsigned I = 0; I != J; ++I) {
-    auto W = std::make_unique<Worker>();
-    W->Index = I;
-    FuzzOptions WOpts = Opts;
-    WOpts.SelfCheckOnLoad = false;
-    WOpts.OnlyFunctions = Testable;
-    WOpts.Progress = &W->Done;
-    WOpts.StageNanos = W->StageNanos;
-    WOpts.Events = Events;
-    WOpts.WorkerIndex = I;
-    if (!TimeLimited) {
-      // Static contiguous partition: worker I owns seeds
-      // [BaseSeed + Lo, BaseSeed + Hi) — ascending across workers, so a
-      // merge in worker order reproduces the sequential bug order.
-      W->Lo = Opts.Iterations * I / J;
-      W->Hi = Opts.Iterations * (I + 1) / J;
-      W->Next.store(W->Lo, std::memory_order_relaxed);
-      WOpts.BaseSeed = Opts.BaseSeed + W->Lo;
-      WOpts.Iterations = W->Hi - W->Lo;
-    }
-    W->Loop = std::make_unique<FuzzerLoop>(WOpts);
-    // Workers only fuzz the testable set — hand them a subset clone whose
-    // non-testable functions are declaration stubs instead of paying a
-    // full deep copy per worker (and per mutant inside the loop).
-    W->Loop->loadModule(cloneModuleSubset(*MasterLoop->module(), Testable));
-    if (SV.Resume) {
+  if (Checkpointing && !checkCheckpointIdentity(SV.CheckpointDir, J))
+    return Stats;
+  WorkerList Workers = makeWorkers(J, Testable, /*Slice=*/!TimeLimited);
+  if (SV.Resume)
+    for (auto &W : Workers) {
       WorkerCheckpoint WC;
       std::string Err;
-      if (!readWorkerCheckpoint(SV.CheckpointDir, I, WC, Err)) {
+      if (!readWorkerCheckpoint(SV.CheckpointDir, W->Index, WC, Err)) {
         ConfigError = "cannot resume: " + Err;
         return Stats;
       }
       if (WC.Lo != W->Lo || WC.Hi != W->Hi) {
-        ConfigError = "cannot resume: shard " + std::to_string(I) +
+        ConfigError = "cannot resume: shard " + std::to_string(W->Index) +
                       " was checkpointed with a different seed partition";
         return Stats;
       }
@@ -598,8 +689,6 @@ const FuzzStats &CampaignEngine::run() {
       W->Next.store(WC.Next, std::memory_order_relaxed);
       W->Done.store(WC.Next - WC.Lo, std::memory_order_relaxed);
     }
-    Workers.push_back(std::move(W));
-  }
 
   // Open the live observer window now that every worker exists. The
   // guard sits after the Workers vector, so on every exit path the refs
@@ -608,23 +697,8 @@ const FuzzStats &CampaignEngine::run() {
   for (auto &W : Workers)
     addLiveShard({W->Index, W->Lo, W->Hi, &W->Done, W->StageNanos,
                   W->Loop.get()});
-  struct LiveGuard {
-    CampaignEngine *E;
-    ~LiveGuard() { E->endLive(); }
-  } LG{this};
-
-  // The wall-clock sampler rides the workers' live span stacks for the
-  // whole run window. Created under LiveM so profileSnapshot() never sees
-  // a half-built sampler.
-  if (Opts.Profile.Enabled) {
-    auto SP =
-        std::make_unique<SamplingProfiler>(Opts.Profile.SamplingIntervalMs);
-    for (auto &W : Workers)
-      SP->attach("w" + std::to_string(W->Index), W->Loop->trace());
-    SP->start();
-    std::lock_guard<std::mutex> G(LiveM);
-    Sampler = std::move(SP);
-  }
+  LiveGuard LG{this};
+  startSampler(Workers);
 
   // Shared seed counter for the time-limited mode (no fixed partition).
   std::atomic<uint64_t> NextOffset{0};
@@ -632,11 +706,9 @@ const FuzzStats &CampaignEngine::run() {
   // The wall-clock backstop, when configured: one supervisor thread for
   // all workers (it only reads serials and CAS-writes cancel flags).
   std::vector<FuzzerLoop *> WatchedLoops;
-  if (SV.WallTimeoutSeconds > 0)
-    for (auto &W : Workers)
-      WatchedLoops.push_back(W->Loop.get());
-  WallClockSupervisor Supervisor(std::move(WatchedLoops),
-                                 SV.WallTimeoutSeconds);
+  for (auto &W : Workers)
+    WatchedLoops.push_back(W->Loop.get());
+  WallClockSupervisor WallSup(std::move(WatchedLoops), SV.WallTimeoutSeconds);
 
   std::vector<std::thread> Threads;
   for (auto &WPtr : Workers) {
@@ -682,8 +754,7 @@ const FuzzStats &CampaignEngine::run() {
             Checkpoint();
           }
         }
-        W->ThreadSeconds = Leg.seconds();
-        settleWorkerSeconds(*W->Loop, W->ThreadSeconds);
+        settleWorkerSeconds(*W->Loop, Leg.seconds());
         // Final snapshot after the books are closed: a stopped campaign
         // resumes from here, a finished one records Next == Hi.
         if (Interval)
@@ -694,7 +765,7 @@ const FuzzStats &CampaignEngine::run() {
       uint64_t Base = Opts.BaseSeed;
       std::atomic<uint64_t> *Next = &NextOffset;
       Threads.emplace_back([this, W, Limit, Base, Next, &Total] {
-        Timer Thread;
+        Timer Leg;
         while (Total.seconds() < Limit &&
                !StopReq.load(std::memory_order_relaxed)) {
           uint64_t Off = Next->fetch_add(1, std::memory_order_relaxed);
@@ -702,9 +773,7 @@ const FuzzStats &CampaignEngine::run() {
           W->Done.fetch_add(1, std::memory_order_relaxed);
           TotalDone.fetch_add(1, std::memory_order_relaxed);
         }
-        // The loops never call run() in this mode, so measure the worker
-        // wall time here for the stage-sum invariant.
-        W->ThreadSeconds = Thread.seconds();
+        settleWorkerSeconds(*W->Loop, Leg.seconds());
       });
     }
   }
@@ -718,43 +787,20 @@ const FuzzStats &CampaignEngine::run() {
   if (ProgressInterval > 0 && ProgressFn) {
     Reporter = std::thread([&] {
       std::unique_lock<std::mutex> Lock(DoneMutex);
-      for (;;) {
-        if (DoneCV.wait_for(Lock,
-                            std::chrono::duration<double>(ProgressInterval),
-                            [&] { return AllDone; }))
-          return;
-        CampaignProgress P;
-        uint64_t Stage[4] = {};
-        for (const auto &W : Workers) {
-          P.Done += W->Done.load(std::memory_order_relaxed);
-          for (unsigned I = 0; I != 4; ++I)
-            Stage[I] += W->StageNanos[I].load(std::memory_order_relaxed);
-        }
-        P.Target = TimeLimited ? 0 : Opts.Iterations;
-        P.Elapsed = Total.seconds();
-        P.Workers = J;
-        if (P.Elapsed > 0)
-          P.Rate = (double)P.Done / P.Elapsed;
-        if (TimeLimited)
-          P.EtaSeconds = std::max(0.0, Opts.TimeLimitSeconds - P.Elapsed);
-        else if (P.Rate > 0)
-          P.EtaSeconds = (double)(P.Target - P.Done) / P.Rate;
-        double StageSum =
-            (double)(Stage[0] + Stage[1] + Stage[2] + Stage[3]);
-        if (StageSum > 0) {
-          P.MutateShare = Stage[0] / StageSum;
-          P.OptimizeShare = Stage[1] / StageSum;
-          P.VerifyShare = Stage[2] / StageSum;
-          P.OverheadShare = Stage[3] / StageSum;
-        }
-        ProgressFn(P);
+      while (!DoneCV.wait_for(Lock,
+                              std::chrono::duration<double>(ProgressInterval),
+                              [&] { return AllDone; })) {
+        uint64_t Done = 0;
+        for (const auto &W : Workers)
+          Done += W->Done.load(std::memory_order_relaxed);
+        ProgressFn(progressSnapshot(Done, Total.seconds(), J, Workers));
       }
     });
   }
 
   for (std::thread &T : Threads)
     T.join();
-  Supervisor.stop();
+  WallSup.stop();
   if (Reporter.joinable()) {
     {
       std::lock_guard<std::mutex> Lock(DoneMutex);
@@ -767,75 +813,17 @@ const FuzzStats &CampaignEngine::run() {
     Sampler->stop();
   endLive();
 
-  // Deterministic merge. Stats: master preprocessing (FunctionsDropped)
-  // plus every worker's counters. Bugs: worker shards are already in
-  // ascending seed order, so concatenation in worker order equals the
-  // sequential order; the dynamic mode interleaves seeds across workers
-  // and needs the explicit (stable) sort.
-  Stats = FuzzStats();
-  Stats.FunctionsDropped = MasterLoop->stats().FunctionsDropped;
-  Bugs.clear();
-  SaveDirError.clear();
-  BundleError.clear();
-  Registry = StatRegistry();
-  Registry.merge(MasterLoop->registry());
-  // Collect the flight-recorder tracks now — the workers die with this
-  // scope, the recorders must not. All tracks share one process-global
-  // epoch, so the merged timeline lines up across threads.
-  Traces.clear();
-  TraceNames.clear();
-  if (auto T = MasterLoop->takeTrace()) {
-    Registry.counter("trace.dropped_events", Volatility::Volatile) +=
-        T->dropped();
-    Traces.push_back(std::move(T));
-    TraceNames.push_back("master");
-  }
-  unsigned WorkerIdx = 0;
-  std::vector<const QueryCostTracker *> CostTrackers;
-  for (const auto &W : Workers) {
-    if (const QueryCostTracker *QT = W->Loop->queryCosts())
-      CostTrackers.push_back(QT);
-    const FuzzStats &WS = W->Loop->stats();
-    accumulate(Stats, WS);
-    if (TimeLimited) {
-      // Dynamic-mode loops carry no WorkerSeconds of their own: the
-      // engine measured each thread's wall time instead, and the dispatch
-      // loop's bookkeeping (the part outside runIteration) goes to the
-      // overhead bucket. (Static-mode legs settle this per worker before
-      // their final checkpoint.)
-      Stats.WorkerSeconds += W->ThreadSeconds;
-      double Staged = WS.MutateSeconds + WS.OptimizeSeconds +
-                      WS.VerifySeconds + WS.OverheadSeconds;
-      if (W->ThreadSeconds > Staged)
-        Stats.OverheadSeconds += W->ThreadSeconds - Staged;
-    } else if (W->Next.load(std::memory_order_relaxed) != W->Hi) {
-      Interrupted = true;
-    }
-    Registry.merge(W->Loop->registry());
-    if (SaveDirError.empty())
-      SaveDirError = W->Loop->saveDirError();
-    if (BundleError.empty())
-      BundleError = W->Loop->bundleError();
-    if (auto T = W->Loop->takeTrace()) {
-      // Satellite observability: ring overwrites are a volatile artifact
-      // of scheduling and capacity, surfaced per worker in the report's
-      // "trace" block and summed here for the registry.
-      Registry.counter("trace.dropped_events", Volatility::Volatile) +=
-          T->dropped();
-      Traces.push_back(std::move(T));
-      TraceNames.push_back("worker " + std::to_string(WorkerIdx));
-    }
-    ++WorkerIdx;
-    const std::vector<BugRecord> &WB = W->Loop->bugs();
-    Bugs.insert(Bugs.end(), WB.begin(), WB.end());
-  }
-  finishProfile(CostTrackers);
+  // Static shards are already in ascending seed order, so concatenation
+  // in worker order equals the sequential order; the dynamic mode
+  // interleaves seeds across workers and needs the explicit stable sort.
+  mergeWorkers(Workers);
   if (TimeLimited) {
     Interrupted = StopReq.load(std::memory_order_relaxed);
-    std::stable_sort(Bugs.begin(), Bugs.end(),
-                     [](const BugRecord &A, const BugRecord &B) {
-                       return A.MutantSeed < B.MutantSeed;
-                     });
+    std::stable_sort(Bugs.begin(), Bugs.end(), bySeed);
+  } else {
+    for (const auto &W : Workers)
+      if (W->Next.load(std::memory_order_relaxed) != W->Hi)
+        Interrupted = true;
   }
   Stats.TotalSeconds = Total.seconds();
   emitEvent(CampaignEvent::Kind::CampaignEnd, 0, 0,
@@ -851,73 +839,22 @@ CampaignEngine::runFeedback(unsigned J,
   const bool Checkpointing = !SV.CheckpointDir.empty();
   const uint64_t EpochLen = std::max(1u, Opts.Feedback.EpochLength);
 
-  if (Checkpointing) {
-    CheckpointMeta Cur;
-    Cur.Passes = Opts.Passes;
-    Cur.Iterations = Opts.Iterations;
-    Cur.BaseSeed = Opts.BaseSeed;
-    Cur.Jobs = J;
-    Cur.MaxMutationsPerFunction = Opts.Mutation.MaxMutationsPerFunction;
-    Cur.InjectBugs = !Opts.Bugs.empty();
-    Cur.FeedbackOn = true;
-    Cur.EpochLength = (unsigned)EpochLen;
-    Cur.ModuleHash = hashModuleText(printModule(*MasterLoop->module()));
-    std::string Err;
-    if (SV.Resume) {
-      CheckpointMeta Stored;
-      if (!readCheckpointMeta(SV.CheckpointDir, Stored, Err) ||
-          !checkpointMetaMatches(Stored, Cur, Err)) {
-        ConfigError = "cannot resume: " + Err;
-        return Stats;
-      }
-    } else if (!writeCheckpointMeta(SV.CheckpointDir, Cur, Err)) {
-      ConfigError = Err;
-      return Stats;
-    }
-  }
-
-  // Build the workers. Unlike the blind static path there is no whole-range
-  // partition: each epoch is sliced afresh, so every worker's checkpoint
-  // cursor ranges over the full [0, Iterations) and all cursors agree at
-  // every epoch boundary.
-  std::vector<std::unique_ptr<Worker>> Workers;
-  for (unsigned I = 0; I != J; ++I) {
-    auto W = std::make_unique<Worker>();
-    W->Index = I;
-    W->Lo = 0;
-    W->Hi = Opts.Iterations;
-    FuzzOptions WOpts = Opts;
-    WOpts.SelfCheckOnLoad = false;
-    WOpts.OnlyFunctions = Testable;
-    WOpts.Progress = &W->Done;
-    WOpts.StageNanos = W->StageNanos;
-    WOpts.Events = Events;
-    WOpts.WorkerIndex = I;
-    W->Loop = std::make_unique<FuzzerLoop>(WOpts);
-    W->Loop->loadModule(cloneModuleSubset(*MasterLoop->module(), Testable));
-    Workers.push_back(std::move(W));
-  }
+  if (Checkpointing && !checkCheckpointIdentity(SV.CheckpointDir, J))
+    return Stats;
+  // Unlike the blind static path there is no whole-range partition: each
+  // epoch is sliced afresh, so every worker's checkpoint cursor ranges
+  // over the full [0, Iterations) and all cursors agree at every epoch
+  // boundary.
+  WorkerList Workers = makeWorkers(J, Testable, /*Slice=*/false);
 
   beginLive(/*Isolated=*/false, Opts.Iterations, J, &Total);
   for (auto &W : Workers)
     addLiveShard({W->Index, W->Lo, W->Hi, &W->Done, W->StageNanos,
                   W->Loop.get()});
-  struct LiveGuard {
-    CampaignEngine *E;
-    ~LiveGuard() { E->endLive(); }
-  } LG{this};
-
+  LiveGuard LG{this};
   // Workers persist across epochs, so one sampler spans the whole epoch
   // loop (the barrier gaps just sample empty stacks, i.e. nothing).
-  if (Opts.Profile.Enabled) {
-    auto SP =
-        std::make_unique<SamplingProfiler>(Opts.Profile.SamplingIntervalMs);
-    for (auto &W : Workers)
-      SP->attach("w" + std::to_string(W->Index), W->Loop->trace());
-    SP->start();
-    std::lock_guard<std::mutex> G(LiveM);
-    Sampler = std::move(SP);
-  }
+  startSampler(Workers);
 
   FeedbackMap Global;
   ScheduleState Schedule;
@@ -961,11 +898,9 @@ CampaignEngine::runFeedback(unsigned J,
     W->Loop->setSchedule(&Schedule);
 
   std::vector<FuzzerLoop *> WatchedLoops;
-  if (SV.WallTimeoutSeconds > 0)
-    for (auto &W : Workers)
-      WatchedLoops.push_back(W->Loop.get());
-  WallClockSupervisor Supervisor(std::move(WatchedLoops),
-                                 SV.WallTimeoutSeconds);
+  for (auto &W : Workers)
+    WatchedLoops.push_back(W->Loop.get());
+  WallClockSupervisor WallSup(std::move(WatchedLoops), SV.WallTimeoutSeconds);
 
   auto WriteCheckpoints = [&] {
     std::string Err;
@@ -1048,30 +983,11 @@ CampaignEngine::runFeedback(unsigned J,
     if (ProgressInterval > 0 && ProgressFn &&
         Total.seconds() - LastReport >= ProgressInterval) {
       LastReport = Total.seconds();
-      CampaignProgress P;
-      uint64_t Stage[4] = {};
-      for (const auto &W : Workers)
-        for (unsigned S = 0; S != 4; ++S)
-          Stage[S] += W->StageNanos[S].load(std::memory_order_relaxed);
-      P.Done = TotalDone.load(std::memory_order_relaxed);
-      P.Target = Opts.Iterations;
-      P.Elapsed = Total.seconds();
-      P.Workers = J;
-      if (P.Elapsed > 0)
-        P.Rate = (double)P.Done / P.Elapsed;
-      if (P.Rate > 0)
-        P.EtaSeconds = (double)(P.Target - P.Done) / P.Rate;
-      double StageSum = (double)(Stage[0] + Stage[1] + Stage[2] + Stage[3]);
-      if (StageSum > 0) {
-        P.MutateShare = Stage[0] / StageSum;
-        P.OptimizeShare = Stage[1] / StageSum;
-        P.VerifyShare = Stage[2] / StageSum;
-        P.OverheadShare = Stage[3] / StageSum;
-      }
-      ProgressFn(P);
+      ProgressFn(progressSnapshot(TotalDone.load(std::memory_order_relaxed),
+                                  LastReport, J, Workers));
     }
   }
-  Supervisor.stop();
+  WallSup.stop();
   if (Sampler)
     Sampler->stop();
   endLive();
@@ -1094,50 +1010,8 @@ CampaignEngine::runFeedback(unsigned J,
   // the concatenation needs the explicit seed sort. Same-seed bugs come
   // from a single worker's list and stable_sort preserves their relative
   // order, so the result is worker-count independent.
-  Stats = FuzzStats();
-  Stats.FunctionsDropped = MasterLoop->stats().FunctionsDropped;
-  Bugs.clear();
-  SaveDirError.clear();
-  BundleError.clear();
-  Registry = StatRegistry();
-  Registry.merge(MasterLoop->registry());
-  Traces.clear();
-  TraceNames.clear();
-  if (auto T = MasterLoop->takeTrace()) {
-    Registry.counter("trace.dropped_events", Volatility::Volatile) +=
-        T->dropped();
-    Traces.push_back(std::move(T));
-    TraceNames.push_back("master");
-  }
-  unsigned WorkerIdx = 0;
-  std::vector<const QueryCostTracker *> CostTrackers;
-  for (const auto &W : Workers) {
-    if (const QueryCostTracker *QT = W->Loop->queryCosts())
-      CostTrackers.push_back(QT);
-    accumulate(Stats, W->Loop->stats());
-    Registry.merge(W->Loop->registry());
-    if (SaveDirError.empty())
-      SaveDirError = W->Loop->saveDirError();
-    if (BundleError.empty())
-      BundleError = W->Loop->bundleError();
-    if (auto T = W->Loop->takeTrace()) {
-      // Satellite observability: ring overwrites are a volatile artifact
-      // of scheduling and capacity, surfaced per worker in the report's
-      // "trace" block and summed here for the registry.
-      Registry.counter("trace.dropped_events", Volatility::Volatile) +=
-          T->dropped();
-      Traces.push_back(std::move(T));
-      TraceNames.push_back("worker " + std::to_string(WorkerIdx));
-    }
-    ++WorkerIdx;
-    const std::vector<BugRecord> &WB = W->Loop->bugs();
-    Bugs.insert(Bugs.end(), WB.begin(), WB.end());
-  }
-  finishProfile(CostTrackers);
-  std::stable_sort(Bugs.begin(), Bugs.end(),
-                   [](const BugRecord &A, const BugRecord &B) {
-                     return A.MutantSeed < B.MutantSeed;
-                   });
+  mergeWorkers(Workers);
+  std::stable_sort(Bugs.begin(), Bugs.end(), bySeed);
 
   // Engine-level feedback counters, derived from the final state alone
   // (not incremented along the way) so a resumed campaign reports the
@@ -1157,470 +1031,38 @@ CampaignEngine::runFeedback(unsigned J,
   return Stats;
 }
 
-namespace {
-
-/// Per-shard heartbeat slot in the MAP_SHARED control page: the child
-/// stores the offset in flight before each iteration and the idle
-/// sentinel between them, so the parent can attribute a fatal signal to
-/// its seed (or see that the crash fell between iterations).
-struct Heartbeat {
-  std::atomic<uint64_t> Cur;
-  std::atomic<uint64_t> Done;
-};
-
-/// Shared stop flag ahead of the heartbeat slots: the only channel the
-/// parent has into the children. Padded to the slots' alignment so their
-/// 8-byte atomics are never misaligned.
-struct alignas(Heartbeat) IsoControl {
-  std::atomic<uint32_t> Stop;
-};
-static_assert(sizeof(IsoControl) % alignof(Heartbeat) == 0,
-              "the heartbeats start sizeof(IsoControl) into the page");
-
-constexpr uint64_t IdleOffset = ~0ull;
-
-} // namespace
-
-const FuzzStats &
-CampaignEngine::runIsolated(unsigned J,
-                            const std::vector<std::string> &Testable,
-                            Timer &Total) {
-  const SurvivalOptions &SV = Opts.Survival;
-  namespace fs = std::filesystem;
-
-  // The checkpoint directory doubles as the harvest channel: children
-  // write their state there, the parent merges from it. Without a
-  // user-provided directory, use (and afterwards remove) a private one.
-  std::string Dir = SV.CheckpointDir;
-  const bool OwnDir = Dir.empty();
-  if (OwnDir) {
-    std::error_code EC;
-    Dir = (fs::temp_directory_path(EC) /
-           ("alive-mutate-isolate-" + std::to_string(getpid())))
-              .string();
-  }
-  {
-    CheckpointMeta Cur;
-    Cur.Passes = Opts.Passes;
-    Cur.Iterations = Opts.Iterations;
-    Cur.BaseSeed = Opts.BaseSeed;
-    Cur.Jobs = J;
-    Cur.MaxMutationsPerFunction = Opts.Mutation.MaxMutationsPerFunction;
-    Cur.InjectBugs = !Opts.Bugs.empty();
-    Cur.ModuleHash = hashModuleText(printModule(*MasterLoop->module()));
-    std::string Err;
-    if (SV.Resume) {
-      CheckpointMeta Stored;
-      if (!readCheckpointMeta(Dir, Stored, Err) ||
-          !checkpointMetaMatches(Stored, Cur, Err)) {
-        ConfigError = "cannot resume: " + Err;
-        return Stats;
-      }
-    } else if (!writeCheckpointMeta(Dir, Cur, Err)) {
-      ConfigError = Err;
-      return Stats;
-    }
-  }
-
-  const size_t MapSize = sizeof(IsoControl) + J * sizeof(Heartbeat);
-  void *Raw = mmap(nullptr, MapSize, PROT_READ | PROT_WRITE,
-                   MAP_SHARED | MAP_ANONYMOUS, -1, 0);
-  if (Raw == MAP_FAILED || faultAt("isolate.mmap")) {
-    if (Raw != MAP_FAILED)
-      munmap(Raw, MapSize);
-    ConfigError = "-isolate: cannot map the shared heartbeat page";
-    return Stats;
-  }
-  IsoControl *Ctl = new (Raw) IsoControl;
-  Ctl->Stop.store(0, std::memory_order_relaxed);
-  Heartbeat *HB =
-      reinterpret_cast<Heartbeat *>(static_cast<char *>(Raw) +
-                                    sizeof(IsoControl));
-  for (unsigned I = 0; I != J; ++I) {
-    new (&HB[I]) Heartbeat;
-    HB[I].Cur.store(IdleOffset, std::memory_order_relaxed);
-    HB[I].Done.store(0, std::memory_order_relaxed);
-  }
-
-  struct Shard {
-    uint64_t Lo = 0, Hi = 0;
-    pid_t Pid = -1;
-    bool Finished = false;
-    unsigned Attempts = 0; ///< forks so far
-    unsigned Stalls = 0;   ///< consecutive exits with no attributable seed
-    uint64_t DoneAtExit = 0;
-    double RestartAt = 0; ///< Total.seconds() timestamp gating the refork
-    std::vector<uint64_t> Skip; ///< crashed offsets, excluded on restart
-    std::vector<BugRecord> CrashBugs;
-  };
-  std::vector<Shard> Shards(J);
-  for (unsigned I = 0; I != J; ++I) {
-    Shards[I].Lo = Opts.Iterations * I / J;
-    Shards[I].Hi = Opts.Iterations * (I + 1) / J;
-  }
-  const uint64_t Interval = SV.CheckpointInterval ? SV.CheckpointInterval : 16;
-
-  // Live view over the heartbeat page: Done counters only (the page has
-  // no stage split and the shard registries live in child processes).
-  // endLive() runs explicitly before each munmap — the refs must never
-  // outlive the mapping — with the guard as the exception backstop.
-  beginLive(/*Isolated=*/true, Opts.Iterations, J, &Total);
-  for (unsigned I = 0; I != J; ++I)
-    addLiveShard({I, Shards[I].Lo, Shards[I].Hi, &HB[I].Done,
-                  /*StageNanos=*/nullptr, /*Loop=*/nullptr});
-  struct LiveGuard {
-    CampaignEngine *E;
-    ~LiveGuard() { E->endLive(); }
-  } LG{this};
-
-  // Initialize the merged state now: the poll loop below accounts crash
-  // bugs and restart counters live, the final harvest adds the shard
-  // checkpoints on top.
-  Stats = FuzzStats();
-  Stats.FunctionsDropped = MasterLoop->stats().FunctionsDropped;
-  Bugs.clear();
-  SaveDirError.clear();
-  BundleError.clear();
-  Registry = StatRegistry();
-  Registry.merge(MasterLoop->registry());
-  Traces.clear();
-  TraceNames.clear();
-
-  auto Spawn = [&](unsigned I) -> bool {
-    Shard &S = Shards[I];
-    HB[I].Cur.store(IdleOffset, std::memory_order_relaxed);
-    // Parent-side injection so the counter persists across respawns.
-    if (faultAt("isolate.fork"))
-      return false;
-    pid_t Pid = fork();
-    if (Pid < 0)
-      return false;
-    if (Pid == 0) {
-      // ------- child: one shard, sequential, in a disposable process.
-      // The address space is a copy-on-write snapshot of the parent, so
-      // the preprocessed master module is already here. A fatal signal
-      // anywhere below kills only this process; the parent classifies it
-      // and restarts the shard from its last checkpoint.
-      if (SV.IsolateMemMB) {
-        rlimit R{SV.IsolateMemMB << 20, SV.IsolateMemMB << 20};
-        setrlimit(RLIMIT_AS, &R);
-      }
-      if (SV.IsolateCpuSeconds) {
-        rlimit R{SV.IsolateCpuSeconds, SV.IsolateCpuSeconds};
-        setrlimit(RLIMIT_CPU, &R);
-      }
-      FuzzOptions WOpts = Opts;
-      WOpts.SelfCheckOnLoad = false;
-      WOpts.OnlyFunctions = Testable;
-      WOpts.Survival.Isolate = false;
-      // The event queue lives in the parent's address space; the fork's
-      // copy has no observer draining it.
-      WOpts.Events = nullptr;
-      WOpts.WorkerIndex = I;
-      // The process boundary IS the crash containment; the in-process
-      // guard would only hide the signal from the parent's classifier.
-      WOpts.Survival.SignalGuard = false;
-      WOpts.BaseSeed = Opts.BaseSeed + S.Lo;
-      WOpts.Iterations = S.Hi - S.Lo;
-      FuzzerLoop Loop(WOpts);
-      Loop.loadModule(cloneModuleSubset(*MasterLoop->module(), Testable));
-      uint64_t Cursor = S.Lo;
-      {
-        WorkerCheckpoint WC;
-        std::string Err;
-        if (readWorkerCheckpoint(Dir, I, WC, Err) && WC.Lo == S.Lo &&
-            WC.Hi == S.Hi) {
-          restoreWorker(WC, Loop);
-          Cursor = WC.Next;
-        }
-      }
-      // The parent cannot see into this address space, so the wall-clock
-      // backstop runs as a thread of the child itself.
-      WallClockSupervisor Sup({&Loop}, SV.WallTimeoutSeconds);
-      Timer Leg;
-      uint64_t Since = 0;
-      std::string CkptErr;
-      while (Cursor != S.Hi) {
-        if (Ctl->Stop.load(std::memory_order_relaxed))
-          break;
-        uint64_t Off = Cursor;
-        if (std::find(S.Skip.begin(), S.Skip.end(), Off) != S.Skip.end()) {
-          ++Cursor;
-          HB[I].Done.fetch_add(1, std::memory_order_relaxed);
-          continue;
-        }
-        HB[I].Cur.store(Off, std::memory_order_release);
-        Loop.runIteration(Opts.BaseSeed + Off);
-        HB[I].Cur.store(IdleOffset, std::memory_order_release);
-        ++Cursor;
-        HB[I].Done.fetch_add(1, std::memory_order_relaxed);
-        if (++Since >= Interval) {
-          Since = 0;
-          writeWorkerCheckpoint(
-              Dir, snapshotWorker(I, S.Lo, S.Hi, Cursor, Loop), CkptErr);
-        }
-      }
-      settleWorkerSeconds(Loop, Leg.seconds());
-      bool Ok = writeWorkerCheckpoint(
-          Dir, snapshotWorker(I, S.Lo, S.Hi, Cursor, Loop), CkptErr);
-      Sup.stop();
-      // _exit: no static destructors, no double-flush of parent-inherited
-      // stdio buffers. Exit code 3 = "results could not be written" — the
-      // parent abandons the shard instead of retrying forever.
-      _exit(Ok ? 0 : 3);
-    }
-    // ------- parent
-    S.Pid = Pid;
-    ++S.Attempts;
-    return true;
-  };
-
-  auto NoteIsolate = [&](const std::string &Msg) {
-    if (!IsolateError.empty())
-      IsolateError += "; ";
-    IsolateError += Msg;
-  };
-
-  for (unsigned I = 0; I != J; ++I)
-    if (!Spawn(I)) {
-      ConfigError = "-isolate: fork failed";
-      Ctl->Stop.store(1, std::memory_order_relaxed);
-      endLive();
-      munmap(Raw, MapSize);
-      return Stats;
-    }
-
-  uint64_t ParentBundles = 0, ParentBundleFailures = 0;
-  double LastReport = 0;
-  for (;;) {
-    double Now = Total.seconds();
-    uint64_t DoneTotal = 0;
-    for (unsigned I = 0; I != J; ++I)
-      DoneTotal += HB[I].Done.load(std::memory_order_relaxed);
-    TotalDone.store(DoneTotal, std::memory_order_relaxed);
-    uint64_t After = StopAfter.load(std::memory_order_relaxed);
-    if ((StopReq.load(std::memory_order_relaxed) ||
-         (After && DoneTotal >= After)) &&
-        !Ctl->Stop.load(std::memory_order_relaxed))
-      Ctl->Stop.store(1, std::memory_order_relaxed);
-
-    bool AllFinished = true;
-    for (unsigned I = 0; I != J; ++I) {
-      Shard &S = Shards[I];
-      if (S.Finished)
-        continue;
-      AllFinished = false;
-      if (S.Pid < 0) {
-        // Awaiting its backoff-gated restart.
-        if (Now >= S.RestartAt && !Spawn(I)) {
-          S.Finished = true;
-          NoteIsolate("shard " + std::to_string(I) +
-                      " abandoned: fork failed");
-        }
-        continue;
-      }
-      int Status = 0;
-      pid_t R = waitpid(S.Pid, &Status, WNOHANG);
-      if (R == 0)
-        continue;
-      S.Pid = -1;
-      if (WIFEXITED(Status) && WEXITSTATUS(Status) == 0) {
-        S.Finished = true;
-        continue;
-      }
-      if (WIFEXITED(Status) && WEXITSTATUS(Status) == 3) {
-        S.Finished = true;
-        NoteIsolate("shard " + std::to_string(I) +
-                    " abandoned: cannot write its checkpoint");
-        continue;
-      }
-      // A fatal exit. Attribute it to the seed in flight (idle sentinel =
-      // the crash fell between iterations: nothing to skip, just retry).
-      std::string Why =
-          WIFSIGNALED(Status)
-              ? std::string("killed by ") + signalName(WTERMSIG(Status))
-              : "exited with code " + std::to_string(WEXITSTATUS(Status));
-      uint64_t CurOff = HB[I].Cur.load(std::memory_order_acquire);
-      uint64_t DoneNow = HB[I].Done.load(std::memory_order_relaxed);
-      bool Progressed = DoneNow > S.DoneAtExit || CurOff != IdleOffset;
-      S.DoneAtExit = DoneNow;
-      S.Stalls = Progressed ? 0 : S.Stalls + 1;
-      ++Registry.counter("survive.isolate.crashes", Volatility::Volatile);
-      if (CurOff != IdleOffset) {
-        // The iteration at CurOff took the process down: a crash bug of
-        // the compiler-under-test. Record it from the parent side — the
-        // mutant regenerates deterministically from its seed — and make
-        // sure the restarted shard skips this seed.
-        uint64_t Seed = Opts.BaseSeed + CurOff;
-        S.Skip.push_back(CurOff);
-        BugRecord B;
-        B.Kind = BugRecord::Crash;
-        B.MutantSeed = Seed;
-        B.Detail = "optimizer process " + Why + " (isolated shard " +
-                   std::to_string(I) + ", contained by process isolation)";
-        ForensicRecord FR;
-        FR.K = ForensicRecord::Crash;
-        FR.Seed = Seed;
-        FR.VerdictSlug = "crash";
-        FR.Detail = B.Detail;
-        // Regenerating the mutant replays only the (signal-safe) mutator,
-        // but guard anyway: the parent must survive whatever the child
-        // did not.
-        int Sig = 0;
-        bool Survived = runWithSignalGuard(
-            [&] {
-              MutationTrail Trail;
-              std::unique_ptr<Module> Mutant =
-                  MasterLoop->makeMutant(Seed, Trail);
-              B.MutantIR = printModule(*Mutant);
-              if (!Opts.BugBundleDir.empty()) {
-                BundleInputs In{Opts,         Testable, *MasterLoop->module(),
-                                Mutant.get(), nullptr,  &Trail,
-                                FR};
-                std::string Err;
-                B.BundlePath = writeBugBundle(Opts.BugBundleDir, In, Err);
-                if (B.BundlePath.empty()) {
-                  ++ParentBundleFailures;
-                  if (BundleError.empty())
-                    BundleError = Err;
-                } else {
-                  ++ParentBundles;
-                }
-              }
-            },
-            Sig);
-        if (!Survived)
-          B.Detail += "; mutant regeneration raised " +
-                      std::string(signalName(Sig)) + " in the parent too";
-        emitEvent(CampaignEvent::Kind::BugFound, Seed, I, "crash " + Why);
-        S.CrashBugs.push_back(std::move(B));
-      } else if (S.Stalls >= 5) {
-        S.Finished = true;
-        NoteIsolate("shard " + std::to_string(I) + " abandoned after " +
-                    std::to_string(S.Stalls) +
-                    " restarts without progress (last exit: " + Why + ")");
-        continue;
-      }
-      ++Registry.counter("survive.isolate.restarts", Volatility::Volatile);
-      emitEvent(CampaignEvent::Kind::ShardRestart, 0, I, Why);
-      double Backoff = std::min(0.1 * (double)(1ull << std::min(
-                                          S.Attempts - 1, 10u)),
-                                5.0);
-      S.RestartAt = Now + Backoff;
-    }
-    if (AllFinished)
-      break;
-    if (ProgressInterval > 0 && ProgressFn && Now - LastReport >=
-                                                  ProgressInterval) {
-      LastReport = Now;
-      CampaignProgress P;
-      P.Done = DoneTotal;
-      P.Target = Opts.Iterations;
-      P.Elapsed = Now;
-      P.Workers = J;
-      if (P.Elapsed > 0)
-        P.Rate = (double)P.Done / P.Elapsed;
-      if (P.Rate > 0)
-        P.EtaSeconds = (double)(P.Target - P.Done) / P.Rate;
-      ProgressFn(P);
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-
-  // Harvest: every shard's final checkpoint, merged exactly like the
-  // threaded path — plus the crash bugs the parent recorded, spliced into
-  // each shard's list in seed order.
-  for (unsigned I = 0; I != J; ++I) {
-    WorkerCheckpoint WC;
-    std::string Err;
-    if (!readWorkerCheckpoint(Dir, I, WC, Err)) {
-      NoteIsolate("shard " + std::to_string(I) + " results lost: " + Err);
-      Interrupted = true;
-      continue;
-    }
-    accumulate(Stats, WC.Stats);
-    StatRegistry Tmp;
-    for (const WorkerCheckpoint::Counter &C : WC.Counters)
-      Tmp.counter(C.Name, C.IsVolatile ? Volatility::Volatile
-                                       : Volatility::Deterministic) = C.Value;
-    Registry.merge(Tmp);
-    std::vector<BugRecord> ShardBugs = WC.Bugs;
-    ShardBugs.insert(ShardBugs.end(), Shards[I].CrashBugs.begin(),
-                     Shards[I].CrashBugs.end());
-    std::stable_sort(ShardBugs.begin(), ShardBugs.end(),
-                     [](const BugRecord &A, const BugRecord &B) {
-                       return A.MutantSeed < B.MutantSeed;
-                     });
-    Bugs.insert(Bugs.end(), ShardBugs.begin(), ShardBugs.end());
-    if (WC.Next != WC.Hi)
-      Interrupted = true;
-    uint64_t NCrash = Shards[I].CrashBugs.size();
-    if (NCrash) {
-      Stats.Crashes += NCrash;
-      Registry.counter("bug.crash") += NCrash;
-    }
-  }
-  Stats.BundlesWritten += ParentBundles;
-  Stats.BundleFailures += ParentBundleFailures;
-
-  endLive();
-  munmap(Raw, MapSize);
-  if (OwnDir) {
-    std::error_code EC;
-    fs::remove_all(Dir, EC);
-  }
-  Stats.TotalSeconds = Total.seconds();
-  emitEvent(CampaignEvent::Kind::CampaignEnd, 0, 0,
-            Interrupted ? "interrupted" : "completed");
-  return Stats;
-}
-
 const FuzzStats &
 CampaignEngine::runSupervised(const std::vector<std::string> &Testable,
                               Timer &Total) {
   const SurvivalOptions &SV = Opts.Survival;
-  namespace fs = std::filesystem;
 
-  // As in runIsolated, the checkpoint directory is the harvest channel:
-  // children persist their state there, the parent merges from it (and a
-  // lost lease's last checkpoint is still harvested — partial results are
-  // degraded, never discarded). Without a user-provided directory, use
-  // (and afterwards remove) a private one.
+  // The checkpoint directory is the harvest channel: children persist
+  // their state there, the parent merges from it (and a lost lease's last
+  // checkpoint is still harvested — partial results are degraded, never
+  // discarded). Without a user-provided directory, use (and afterwards
+  // remove, on every exit path) a private one.
   std::string Dir = SV.CheckpointDir;
-  const bool OwnDir = Dir.empty();
-  if (OwnDir) {
+  struct OwnDirGuard {
+    std::string Path;
+    ~OwnDirGuard() {
+      std::error_code EC;
+      if (!Path.empty())
+        std::filesystem::remove_all(Path, EC);
+    }
+  } OwnDir;
+  if (Dir.empty()) {
     std::error_code EC;
-    Dir = (fs::temp_directory_path(EC) /
-           ("alive-mutate-fanout-" + std::to_string(getpid())))
-              .string();
+    Dir = OwnDir.Path = (std::filesystem::temp_directory_path(EC) /
+                         ("alive-mutate-fanout-" + std::to_string(getpid())))
+                            .string();
   }
 
   // The lease partition must match the checkpoint identity, so clamp the
   // fanout before writing the meta.
   const unsigned N =
       (unsigned)std::min<uint64_t>(std::max(1u, SV.Fanout), Opts.Iterations);
-  {
-    CheckpointMeta Cur;
-    Cur.Passes = Opts.Passes;
-    Cur.Iterations = Opts.Iterations;
-    Cur.BaseSeed = Opts.BaseSeed;
-    Cur.Jobs = N;
-    Cur.MaxMutationsPerFunction = Opts.Mutation.MaxMutationsPerFunction;
-    Cur.InjectBugs = !Opts.Bugs.empty();
-    Cur.ModuleHash = hashModuleText(printModule(*MasterLoop->module()));
-    std::string Err;
-    if (SV.Resume) {
-      CheckpointMeta Stored;
-      if (!readCheckpointMeta(Dir, Stored, Err) ||
-          !checkpointMetaMatches(Stored, Cur, Err)) {
-        ConfigError = "cannot resume: " + Err;
-        return Stats;
-      }
-    } else if (!writeCheckpointMeta(Dir, Cur, Err)) {
-      ConfigError = Err;
-      return Stats;
-    }
-  }
+  if (!checkCheckpointIdentity(Dir, N))
+    return Stats;
 
   const uint64_t Interval = SV.CheckpointInterval ? SV.CheckpointInterval : 16;
 
@@ -1644,19 +1086,13 @@ CampaignEngine::runSupervised(const std::vector<std::string> &Testable,
       rlimit R{SV.IsolateCpuSeconds, SV.IsolateCpuSeconds};
       setrlimit(RLIMIT_CPU, &R);
     }
-    FuzzOptions WOpts = Opts;
-    WOpts.SelfCheckOnLoad = false;
-    WOpts.OnlyFunctions = Testable;
+    FuzzOptions WOpts = workerOptions(Ctx.Index, Ctx.Lo, Ctx.Hi, Testable);
     WOpts.Survival.Fanout = 0;
-    WOpts.Survival.Isolate = false;
     // The process boundary IS the crash containment; an in-process guard
     // would only hide the signal from the parent's classifier. The event
     // queue lives in the parent's address space.
     WOpts.Survival.SignalGuard = false;
     WOpts.Events = nullptr;
-    WOpts.WorkerIndex = Ctx.Index;
-    WOpts.BaseSeed = Opts.BaseSeed + Ctx.Lo;
-    WOpts.Iterations = Ctx.Hi - Ctx.Lo;
     FuzzerLoop Loop(WOpts);
     Loop.loadModule(cloneModuleSubset(*MasterLoop->module(), Testable));
     uint64_t Cursor = Ctx.Lo;
@@ -1725,24 +1161,12 @@ CampaignEngine::runSupervised(const std::vector<std::string> &Testable,
   std::string InitErr;
   if (!Sup.init(InitErr)) {
     ConfigError = InitErr;
-    if (OwnDir) {
-      std::error_code EC;
-      fs::remove_all(Dir, EC);
-    }
     return Stats;
   }
 
   // Initialize the merged state now: the crash hook accounts bugs live,
   // the final harvest adds the shard checkpoints on top.
-  Stats = FuzzStats();
-  Stats.FunctionsDropped = MasterLoop->stats().FunctionsDropped;
-  Bugs.clear();
-  SaveDirError.clear();
-  BundleError.clear();
-  Registry = StatRegistry();
-  Registry.merge(MasterLoop->registry());
-  Traces.clear();
-  TraceNames.clear();
+  resetMerged();
 
   uint64_t ParentBundles = 0, ParentBundleFailures = 0;
   Sup.setCrashHook([&](unsigned I, uint64_t Off,
@@ -1761,6 +1185,8 @@ CampaignEngine::runSupervised(const std::vector<std::string> &Testable,
     FR.Seed = Seed;
     FR.VerdictSlug = "crash";
     FR.Detail = B.Detail;
+    // Regenerating the mutant replays only the (signal-safe) mutator, but
+    // guard anyway: the parent must survive whatever the child did not.
     int Sig = 0;
     bool Survived = runWithSignalGuard(
         [&] {
@@ -1799,16 +1225,7 @@ CampaignEngine::runSupervised(const std::vector<std::string> &Testable,
   if (ProgressInterval > 0 && ProgressFn)
     Sup.setTick(
         [&](uint64_t Done, double Elapsed) {
-          CampaignProgress P;
-          P.Done = Done;
-          P.Target = Opts.Iterations;
-          P.Elapsed = Elapsed;
-          P.Workers = N;
-          if (P.Elapsed > 0)
-            P.Rate = (double)P.Done / P.Elapsed;
-          if (P.Rate > 0)
-            P.EtaSeconds = (double)(P.Target - P.Done) / P.Rate;
-          ProgressFn(P);
+          ProgressFn(progressSnapshot(Done, Elapsed, N, WorkerList()));
         },
         ProgressInterval);
 
@@ -1818,19 +1235,12 @@ CampaignEngine::runSupervised(const std::vector<std::string> &Testable,
   for (unsigned I = 0; I != Sup.shards(); ++I)
     addLiveShard({I, Sup.shardLo(I), Sup.shardHi(I), Sup.doneCounter(I),
                   /*StageNanos=*/nullptr, /*Loop=*/nullptr});
-  struct LiveGuard {
-    CampaignEngine *E;
-    ~LiveGuard() { E->endLive(); }
-  } LG{this};
+  LiveGuard LG{this};
 
   SupervisorOutcome SO = Sup.run(Total);
   endLive();
   if (!SO.Error.empty()) {
     ConfigError = SO.Error;
-    if (OwnDir) {
-      std::error_code EC;
-      fs::remove_all(Dir, EC);
-    }
     return Stats;
   }
 
@@ -1850,7 +1260,7 @@ CampaignEngine::runSupervised(const std::vector<std::string> &Testable,
   };
 
   // Harvest: every lease's last durable checkpoint, merged exactly like
-  // the isolate path, plus the parent-recorded crash bugs spliced into
+  // the threaded path, plus the parent-recorded crash bugs spliced into
   // each shard's list in seed order. Lost leases still contribute
   // whatever their last checkpoint holds — and exact lost-iteration
   // accounting is computed against that checkpoint, never estimated.
@@ -1892,10 +1302,7 @@ CampaignEngine::runSupervised(const std::vector<std::string> &Testable,
     Registry.merge(Tmp);
     std::vector<BugRecord> ShardBugs = WC.Bugs;
     ShardBugs.insert(ShardBugs.end(), S.CrashBugs.begin(), S.CrashBugs.end());
-    std::stable_sort(ShardBugs.begin(), ShardBugs.end(),
-                     [](const BugRecord &A, const BugRecord &B) {
-                       return A.MutantSeed < B.MutantSeed;
-                     });
+    std::stable_sort(ShardBugs.begin(), ShardBugs.end(), bySeed);
     Bugs.insert(Bugs.end(), ShardBugs.begin(), ShardBugs.end());
     if (!ShardLost && WC.Next != WC.Hi)
       Interrupted = true;
@@ -1917,10 +1324,6 @@ CampaignEngine::runSupervised(const std::vector<std::string> &Testable,
                      Volatility::Volatile) += LostTotal;
   }
 
-  if (OwnDir) {
-    std::error_code EC;
-    fs::remove_all(Dir, EC);
-  }
   Stats.TotalSeconds = Total.seconds();
   emitEvent(CampaignEvent::Kind::CampaignEnd, 0, 0,
             DegradedFlag  ? "degraded"

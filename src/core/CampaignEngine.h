@@ -24,9 +24,9 @@
 /// canonicalized pairs and verdicts are computed on the canonical pair,
 /// so the same byte-for-byte-replay argument holds across workers (only
 /// the volatile hit/miss counters become scheduling-dependent). Under
-/// -isolate the shared cache is per-child after the fork (copy-on-write
-/// pages), i.e. shared across iterations within a shard but not between
-/// shards.
+/// -fanout the shared cache is per-child after the fork (copy-on-write
+/// pages), i.e. shared across iterations within a lease but not between
+/// leases.
 /// The §III-A self-check/preprocessing pass runs exactly once, on the
 /// master module; workers inherit the surviving function set.
 ///
@@ -45,13 +45,12 @@
 ///   - a wall-clock supervisor thread watches each worker's iteration
 ///     serial and cancels its watchdog token when one iteration overstays
 ///     Survival.WallTimeoutSeconds;
-///   - with Survival.Isolate the shards run in supervised child processes
-///     (fork, optional RLIMIT_AS/RLIMIT_CPU). A shard killed by a fatal
-///     signal becomes a recorded crash-bug outcome attributed to the seed
-///     in flight; the shard restarts with exponential backoff from its
-///     last checkpoint, skipping the crashing seed. The parent stays
-///     single-threaded and harvests shard results through the checkpoint
-///     files.
+///   - with Survival.Fanout the shards run as supervised child processes
+///     (core/Supervisor: fork, optional RLIMIT_AS/RLIMIT_CPU, heartbeat
+///     leases). A seed that keeps killing its child becomes a recorded
+///     crash bug; the lease restarts with backoff from its last
+///     checkpoint, skipping that seed. The parent harvests lease results
+///     through the checkpoint files.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -124,9 +123,9 @@ public:
   const FuzzStats &run();
 
   /// Asks the running campaign to stop at the next iteration boundary
-  /// (thread-safe; also honored by isolated shards via the shared control
-  /// page). A checkpointing campaign writes a final snapshot first, so a
-  /// stopped campaign is resumable.
+  /// (thread-safe; also honored by -fanout children via the supervisor's
+  /// control page). A checkpointing campaign writes a final snapshot
+  /// first, so a stopped campaign is resumable.
   void requestStop() { StopReq.store(true, std::memory_order_relaxed); }
 
   /// Test hook: stop once \p N iterations have completed across all
@@ -140,9 +139,9 @@ public:
   /// (requestStop / stopAfterIterations). Resume with Survival.Resume.
   bool interrupted() const { return Interrupted; }
 
-  /// Non-fatal isolation-mode incident log ("" when clean): shards
-  /// abandoned after repeated no-progress restarts, or harvest failures.
-  /// The campaign still completes with every other shard's results.
+  /// Non-fatal -fanout incident log ("" when clean): lost leases and
+  /// harvest failures. The campaign still completes with every other
+  /// shard's results.
   const std::string &isolateError() const { return IsolateError; }
 
   /// True when the last run() permanently lost at least one shard lease
@@ -150,7 +149,9 @@ public:
   /// report then carries `degraded: true` with exact lost-shard
   /// accounting, and /healthz turns 503 — a lost shard is never a silent
   /// gap in the merged results.
-  bool degraded() const { return DegradedFlag; }
+  bool degraded() const {
+    return DegradedFlag.load(std::memory_order_relaxed);
+  }
 
   /// (shard index, lost iteration count) for every permanently lost
   /// lease of the last run, in shard order. Empty when not degraded.
@@ -209,9 +210,9 @@ public:
 
   /// The finished campaign's cost-attribution profile (Opts.Profile):
   /// deterministic merged top-K queries plus the volatile sampling folds
-  /// and cache shard heat. Enabled=false when profiling was off (and
-  /// always under -isolate: worker state lives in child processes the
-  /// parent cannot sample or merge from).
+  /// and cache shard heat. Enabled=false when profiling was off (-fanout
+  /// rejects -profile: worker state lives in child processes the parent
+  /// cannot sample or merge from).
   const CampaignProfile &profile() const { return Profile; }
 
   /// A point-in-time profile for the live endpoints (/profile.json,
@@ -221,12 +222,6 @@ public:
   CampaignProfile profileSnapshot() const;
 
 private:
-  /// The fork/waitpid isolation path (Survival.Isolate). \p J is the
-  /// effective shard count, \p Total the campaign wall clock.
-  const FuzzStats &runIsolated(unsigned J,
-                               const std::vector<std::string> &Testable,
-                               Timer &Total);
-
   /// The feedback-directed path (Opts.Feedback.Enabled): the seed range is
   /// consumed epoch by epoch. Within an epoch every worker runs a static
   /// contiguous slice under the schedule frozen at the epoch's start; at
@@ -249,6 +244,45 @@ private:
   const FuzzStats &runSupervised(const std::vector<std::string> &Testable,
                                  Timer &Total);
 
+  // --- Per-campaign bookkeeping shared by the run paths. Each helper
+  // runs once per campaign, never per iteration. ---
+
+  /// One in-process worker (defined in CampaignEngine.cpp).
+  struct Worker;
+  using WorkerList = std::vector<std::unique_ptr<Worker>>;
+
+  /// A worker's loop options: the master's, restricted to the testable
+  /// set and seeded for the seed-offset slice [Lo, Hi).
+  FuzzOptions workerOptions(unsigned Index, uint64_t Lo, uint64_t Hi,
+                            const std::vector<std::string> &Testable) const;
+  /// Builds \p J workers on this thread, each over a subset clone of the
+  /// master module. \p Slice gives worker I the static contiguous slice
+  /// I of [0, Iterations); otherwise every worker ranges over the whole
+  /// range (feedback slices each epoch afresh; time-limited workers draw
+  /// seeds from a shared counter).
+  WorkerList makeWorkers(unsigned J, const std::vector<std::string> &Testable,
+                         bool Slice);
+  /// Attaches the wall-clock sampler to \p Workers (Opts.Profile only).
+  void startSampler(const WorkerList &Workers);
+  /// Writes the checkpoint directory's identity (meta.json) for a fresh
+  /// campaign over \p Shards shards, or verifies it against a resume.
+  /// Prints and hashes the master module, so callers invoke it only when
+  /// a checkpoint directory is in play. \returns false with ConfigError
+  /// set on mismatch or I/O failure.
+  bool checkCheckpointIdentity(const std::string &Dir, unsigned Shards);
+  /// Resets the merged campaign state (stats, bugs, registry, traces,
+  /// first-error strings) to the master's preprocessing contribution.
+  void resetMerged();
+  /// resetMerged() plus every worker's stats, registry, errors, trace
+  /// track and bugs, in worker order; then the merged profile.
+  void mergeWorkers(const WorkerList &Workers);
+  /// The progress callback's snapshot: \p Done iterations after
+  /// \p Elapsed seconds over \p Shards shards, with the stage shares
+  /// summed from \p Workers (empty for out-of-process shards).
+  CampaignProgress progressSnapshot(uint64_t Done, double Elapsed,
+                                    unsigned Shards,
+                                    const WorkerList &Workers) const;
+
   /// The final merged feedback state of a finished feedback campaign
   /// (used by -distill and the run report).
   FeedbackMap FinalFeedback;
@@ -269,7 +303,9 @@ private:
   bool Interrupted = false;
   std::string IsolateError;
   /// Degradation state of the last -fanout run (degraded()/lostShards()).
-  bool DegradedFlag = false;
+  /// Atomic: liveSnapshot() reads it from observer threads while run()
+  /// resets and sets it.
+  std::atomic<bool> DegradedFlag{false};
   std::vector<std::pair<unsigned, uint64_t>> LostShardsV;
   /// Preprocesses once, serves testableFunctions() and makeMutant();
   /// never iterates itself.
@@ -302,16 +338,16 @@ private:
   // --- Live observability plane (observer-only; see Observability.h) ---
 
   /// One live shard as registered by a run path: borrowed pointers into
-  /// run()-scoped worker state (or the isolation heartbeat page). Valid
+  /// run()-scoped worker state (or the supervisor's heartbeat page). Valid
   /// only while registered — endLive() revokes them before the owners die.
   struct LiveShardRef {
     unsigned Index = 0;
     uint64_t Lo = 0, Hi = 0;
     const std::atomic<uint64_t> *Done = nullptr;
     /// Four live stage counters (mutate/optimize/verify/overhead nanos);
-    /// null for isolated shards (the page carries no stage split).
+    /// null for -fanout shards (the page carries no stage split).
     const std::atomic<uint64_t> *StageNanos = nullptr;
-    /// The worker's loop, for registry/trace reads; null for isolated
+    /// The worker's loop, for registry/trace reads; null for -fanout
     /// shards (their state lives in another process).
     const FuzzerLoop *Loop = nullptr;
   };
@@ -319,6 +355,11 @@ private:
   /// Opens the live window: run() is now between setup and join.
   void beginLive(bool Isolated, uint64_t Target, unsigned Workers,
                  const Timer *Clock);
+  /// Closes the live window on every exit path of a run path's scope.
+  struct LiveGuard {
+    CampaignEngine *E;
+    ~LiveGuard() { E->endLive(); }
+  };
   void addLiveShard(LiveShardRef R);
   /// Publishes feedback-barrier state to observers (engine thread only).
   void publishFeedbackLive(uint64_t Epochs, unsigned Bits,

@@ -164,13 +164,11 @@ void Supervisor::appendNote(Lease &L, const std::string &Msg) {
 
 void Supervisor::markLost(Lease &L, const std::string &Why,
                           SupervisorOutcome &Out) {
+  // run() reports the loss against the live cursor; the engine refines
+  // it from the lease's last checkpoint at harvest.
   L.St = Lease::State::Lost;
-  HeartbeatSlot &S = slots(Page)[L.Index];
-  uint64_t Next = S.Next.load(std::memory_order_relaxed);
-  Next = std::min(std::max(Next, L.Lo), L.Hi);
   appendNote(L, "shard " + std::to_string(L.Index) + " lost: " + Why);
   Out.Degraded = true;
-  (void)Next; // exact loss is refined from the last checkpoint at harvest
 }
 
 bool Supervisor::spawn(Lease &L, double Now) {

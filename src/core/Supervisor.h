@@ -5,11 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The multi-process campaign runner behind -fanout=N: a from-scratch
-/// control loop that promotes the -isolate prototype into real lease
-/// management. The engine partitions the seed range into N *shard leases*;
-/// the Supervisor forks one child per lease and owns everything that can
-/// go wrong on the process boundary:
+/// The multi-process campaign runner behind -fanout=N, and the engine's
+/// only crash-containment process model. The engine partitions the seed
+/// range into N *shard leases*; the Supervisor forks one child per lease
+/// and owns everything that can go wrong on the process boundary:
 ///
 ///   - **Heartbeats.** Every child publishes (current offset, cursor,
 ///     done count, beat tick) into a MAP_SHARED control page. A running
@@ -32,7 +31,7 @@
 ///     not perturb the deterministic report. Only when the *same* offset
 ///     takes the process down SeedDeathThreshold times is it skipped and
 ///     handed to the parent-side CrashHook, which synthesizes the crash
-///     BugRecord exactly like the -isolate path.
+///     BugRecord (with a forensics bundle when bundles are on).
 ///
 ///   - **Degradation, never silence.** A lease whose budget is exhausted
 ///     (or whose results cannot be written) becomes *Lost*: counted with

@@ -10,7 +10,7 @@
 /// files; paper §III and the artifact appendix's CLI: -n, -t, -seed,
 /// -passes, -save-dir, -saveAll), sharded across -j worker threads with a
 /// deterministic merge. The survivability flags (-step-budget,
-/// -iter-timeout, -isolate, -checkpoint/-resume, -quarantine) keep a long
+/// -iter-timeout, -fanout, -checkpoint/-resume, -quarantine) keep a long
 /// campaign alive across hangs and optimizer crashes.
 ///
 //===----------------------------------------------------------------------===//
@@ -73,20 +73,18 @@ static void printHelp() {
       "                    fractional; timeouts are volatile stats)\n"
       "  -quarantine=<n>   back off a function's refinement checks after\n"
       "                    <n> watchdog timeouts (default: off)\n"
-      "  -isolate          run each shard in a supervised child process;\n"
-      "                    fatal signals become recorded crash bugs and\n"
-      "                    the shard restarts (requires -n)\n"
-      "  -isolate-mem-mb=<n> RLIMIT_AS for isolated shards, in MiB\n"
-      "  -isolate-cpu-s=<n>  RLIMIT_CPU for isolated shards, in seconds\n"
       "  -no-signal-guard  do not contain optimizer SIGABRT/SIGSEGV/...\n"
-      "                    in-process (guard is on by default; -isolate\n"
+      "                    in-process (guard is on by default; -fanout\n"
       "                    supersedes it with process isolation)\n"
-      "  -fanout=<n>       supervised multi-process campaign: <n> shard\n"
-      "                    leases with heartbeat deadlines, bounded-backoff\n"
-      "                    restart of dead/wedged children and partial-\n"
-      "                    result harvest (requires -n; the deterministic\n"
-      "                    report stays byte-identical to -j1 unless a\n"
-      "                    lease is permanently lost)\n"
+      "  -fanout=<n>       run the campaign as <n> supervised child\n"
+      "                    processes: a seed that keeps killing its child\n"
+      "                    becomes a recorded crash bug; heartbeat\n"
+      "                    deadlines, bounded-backoff restart of dead/wedged\n"
+      "                    children and partial-result harvest (requires\n"
+      "                    -n; the deterministic report stays byte-identical\n"
+      "                    to -j1 unless a lease is permanently lost)\n"
+      "  -isolate-mem-mb=<n> RLIMIT_AS for each -fanout shard, in MiB\n"
+      "  -isolate-cpu-s=<n>  RLIMIT_CPU for each -fanout shard, in seconds\n"
       "  -retry-max=<n>    restart budget per shard lease; checkpoint\n"
       "                    progress refills it (default 5)\n"
       "  -retry-base=<s>   first restart backoff delay, doubling per\n"
@@ -180,10 +178,19 @@ static int runReplay(const std::string &Bundle) {
 
 int main(int Argc, char **Argv) {
   ArgParser Args(Argc, Argv);
+  // ArgParser accepts any flag, so a removed one would otherwise run the
+  // campaign in-process without the containment it asked for.
+  if (Args.has("isolate")) {
+    std::fprintf(stderr,
+                 "error: -isolate was removed: run crash containment as "
+                 "-fanout=<n> (<n> supervised child processes; -fanout=1 "
+                 "for one)\n");
+    return 1;
+  }
   if (Args.has("replay")) {
     // A replay re-runs exactly one recorded iteration in-process; campaign
     // flags make no sense next to it. Reject instead of silently ignoring.
-    for (const char *Bad : {"j", "resume", "isolate", "checkpoint"})
+    for (const char *Bad : {"j", "resume", "fanout", "checkpoint"})
       if (Args.has(Bad)) {
         std::fprintf(stderr,
                      "error: -replay cannot be combined with -%s: a replay "
@@ -247,7 +254,7 @@ int main(int Argc, char **Argv) {
 
   // Survivability. The in-process signal guard is on by default for the
   // fuzzing tool — a real optimizer abort should be a recorded crash bug,
-  // not a dead campaign — and off under -isolate, where process isolation
+  // not a dead campaign — and off under -fanout, where process isolation
   // both contains the signal and survives the signals no in-process
   // handler can (SIGKILL from RLIMIT_AS, stack-smashing SIGSEGV).
   SurvivalOptions &SV = Opts.Survival;
@@ -255,7 +262,6 @@ int main(int Argc, char **Argv) {
   if (std::string V = Args.get("iter-timeout"); !V.empty())
     SV.WallTimeoutSeconds = std::atof(V.c_str());
   SV.QuarantineThreshold = (unsigned)Args.getInt("quarantine", 0);
-  SV.Isolate = Args.has("isolate");
   SV.IsolateMemMB = Args.getInt("isolate-mem-mb", 0);
   SV.IsolateCpuSeconds = Args.getInt("isolate-cpu-s", 0);
   SV.Fanout = (unsigned)Args.getInt("fanout", 0);
@@ -267,7 +273,7 @@ int main(int Argc, char **Argv) {
     SV.RetryMaxDelay = std::atof(V.c_str());
   if (std::string V = Args.get("lease-deadline"); !V.empty())
     SV.LeaseHeartbeatSeconds = std::atof(V.c_str());
-  SV.SignalGuard = !Args.has("no-signal-guard") && !SV.Isolate && !SV.Fanout;
+  SV.SignalGuard = !Args.has("no-signal-guard") && !SV.Fanout;
   SV.CheckpointDir = Args.get("checkpoint");
   SV.CheckpointInterval = Args.getInt("checkpoint-interval", 0);
   SV.Resume = Args.has("resume");
@@ -295,27 +301,12 @@ int main(int Argc, char **Argv) {
                  "checkpoint directory of the interrupted campaign\n");
     return 1;
   }
-  if (SV.Isolate && Args.has("t")) {
-    std::fprintf(stderr,
-                 "error: -isolate needs an iteration-bounded campaign: "
-                 "replace -t=<sec> with -n=<count> (shard partitions and "
-                 "crash attribution need a fixed seed range)\n");
-    return 1;
-  }
   if (SV.Fanout) {
     if (Args.has("t")) {
       std::fprintf(stderr,
                    "error: -fanout needs an iteration-bounded campaign: "
                    "replace -t=<sec> with -n=<count> (shard leases and "
                    "lost-work accounting need a fixed seed range)\n");
-      return 1;
-    }
-    if (SV.Isolate) {
-      std::fprintf(stderr,
-                   "error: -isolate and -fanout are both process "
-                   "supervisors: pick one (-fanout adds shard leases, "
-                   "retry budgets and partial-result harvest on top of "
-                   "the same child-process isolation)\n");
       return 1;
     }
     if (Opts.Feedback.Enabled) {
@@ -359,13 +350,6 @@ int main(int Argc, char **Argv) {
                    "is defined over a fixed seed range)\n");
       return 1;
     }
-    if (SV.Isolate) {
-      std::fprintf(stderr,
-                   "error: -feedback cannot be combined with -isolate: "
-                   "isolated shards have no epoch barrier to merge "
-                   "coverage at; drop one of the two flags\n");
-      return 1;
-    }
     if (!Opts.BugBundleDir.empty()) {
       std::fprintf(stderr,
                    "error: -feedback cannot be combined with -bug-bundles: "
@@ -379,20 +363,6 @@ int main(int Argc, char **Argv) {
     std::fprintf(stderr,
                  "error: -distill needs -feedback: distillation ranks the "
                  "corpus by the coverage a feedback campaign collected\n");
-    return 1;
-  }
-  if (SV.Isolate && Opts.TraceEnabled) {
-    std::fprintf(stderr,
-                 "error: -trace-json cannot cross the -isolate process "
-                 "boundary: the flight recorder lives in shard memory; "
-                 "drop one of the two flags\n");
-    return 1;
-  }
-  if (SV.Isolate && Opts.Profile.Enabled) {
-    std::fprintf(stderr,
-                 "error: -profile cannot cross the -isolate process "
-                 "boundary: the cost trackers and span stacks live in "
-                 "shard memory; drop one of the two flags\n");
     return 1;
   }
 
@@ -427,9 +397,7 @@ int main(int Argc, char **Argv) {
 
   unsigned Testable = Engine.loadModule(std::move(Corpus.M));
   char Mode[32] = "";
-  if (SV.Isolate)
-    std::snprintf(Mode, sizeof(Mode), " [isolated]");
-  else if (SV.Fanout)
+  if (SV.Fanout)
     std::snprintf(Mode, sizeof(Mode), " [fanout=%u]", SV.Fanout);
   std::printf("alive-mutate: %u testable function(s) from %u corpus "
               "file(s), pipeline '%s', %u worker(s)%s\n",
@@ -549,12 +517,6 @@ int main(int Argc, char **Argv) {
     std::printf("contained:      %llu optimizer signal(s) caught "
                 "in-process\n",
                 (unsigned long long)Contained);
-  if (SV.Isolate)
-    std::printf("isolation:      %llu shard crash(es), %llu restart(s)\n",
-                (unsigned long long)Engine.registry().counterValue(
-                    "survive.isolate.crashes"),
-                (unsigned long long)Engine.registry().counterValue(
-                    "survive.isolate.restarts"));
   if (SV.Fanout)
     std::printf("supervision:    %llu restart(s), %llu wedge kill(s), "
                 "%llu fork failure(s), %zu lost shard(s)\n",

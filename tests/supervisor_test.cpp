@@ -19,6 +19,7 @@
 #include "parser/Parser.h"
 #include "support/FaultPlane.h"
 
+#include <filesystem>
 #include <gtest/gtest.h>
 #include <sstream>
 
@@ -207,8 +208,11 @@ TEST_F(SupervisorTest, ExhaustedRetriesDegradeWithExactAccounting) {
 TEST_F(SupervisorTest, RepeatedChildDeathSkipsSeedAndRecordsCrashBug) {
   // A pass that SIGSEGVs deterministically: the first death at a seed is
   // retried (it could have been an external kill), the second pins it,
-  // skips the seed and synthesizes a crash bug — so the campaign
-  // completes with every crashing seed recorded and nothing lost.
+  // skips the seed and synthesizes a crash bug with a forensics bundle —
+  // so the campaign completes with every crashing seed recorded and
+  // nothing lost.
+  std::string Bundles = ::testing::TempDir() + "amr_sup_bundles";
+  std::filesystem::remove_all(Bundles);
   FuzzOptions Opts;
   Opts.Passes = "test-crash,dce";
   Opts.Iterations = 3;
@@ -216,6 +220,7 @@ TEST_F(SupervisorTest, RepeatedChildDeathSkipsSeedAndRecordsCrashBug) {
   Opts.Survival.Fanout = 1;
   Opts.Survival.RetryBaseDelay = 0.005;
   Opts.Survival.RetryMaxDelay = 0.05;
+  Opts.BugBundleDir = Bundles;
   CampaignEngine Engine(Opts, 1);
   Engine.loadModule(parseOk(R"(
 define i8 @crashme(i8 %x) {
@@ -233,12 +238,15 @@ define i8 @crashme(i8 %x) {
     EXPECT_NE(B.Detail.find("SIGSEGV"), std::string::npos) << B.Detail;
     EXPECT_NE(B.Detail.find("supervised shard"), std::string::npos)
         << B.Detail;
+    EXPECT_FALSE(B.BundlePath.empty());
+    EXPECT_TRUE(std::filesystem::exists(B.BundlePath)) << B.BundlePath;
     EXPECT_FALSE(B.MutantIR.empty());
   }
   EXPECT_EQ(Engine.registry().counterValue("bug.crash"), 3u);
   // Two deaths per seed before the skip.
   EXPECT_GE(Engine.registry().counterValue("survive.supervisor.restarts"),
             3u);
+  std::filesystem::remove_all(Bundles);
 }
 
 TEST_F(SupervisorTest, FanoutRejectsIncompatibleConfigs) {
@@ -252,16 +260,6 @@ TEST_F(SupervisorTest, FanoutRejectsIncompatibleConfigs) {
   EXPECT_NE(T.configError().find("iteration-bounded"), std::string::npos)
       << T.configError();
 
-  // Two process supervisors cannot share the children.
-  FuzzOptions Both = twoBugOptions(20);
-  Both.Survival.Fanout = 2;
-  Both.Survival.Isolate = true;
-  CampaignEngine B(Both, 1);
-  B.loadModule(parseOk(TwoBugCorpus));
-  B.run();
-  EXPECT_NE(B.configError().find("-fanout"), std::string::npos)
-      << B.configError();
-
   // Feedback has no epoch barrier across supervised children.
   FuzzOptions Fb = twoBugOptions(20);
   Fb.Survival.Fanout = 2;
@@ -271,4 +269,24 @@ TEST_F(SupervisorTest, FanoutRejectsIncompatibleConfigs) {
   F.run();
   EXPECT_NE(F.configError().find("-feedback"), std::string::npos)
       << F.configError();
+
+  // The flight recorder and the cost trackers live in shard memory; the
+  // parent can neither flush nor merge them.
+  FuzzOptions Trace = twoBugOptions(20);
+  Trace.Survival.Fanout = 2;
+  Trace.TraceEnabled = true;
+  CampaignEngine Tr(Trace, 1);
+  Tr.loadModule(parseOk(TwoBugCorpus));
+  Tr.run();
+  EXPECT_NE(Tr.configError().find("-fanout"), std::string::npos)
+      << Tr.configError();
+
+  FuzzOptions Prof = twoBugOptions(20);
+  Prof.Survival.Fanout = 2;
+  Prof.Profile.Enabled = true;
+  CampaignEngine P(Prof, 1);
+  P.loadModule(parseOk(TwoBugCorpus));
+  P.run();
+  EXPECT_NE(P.configError().find("-profile"), std::string::npos)
+      << P.configError();
 }

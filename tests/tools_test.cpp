@@ -208,11 +208,18 @@ TEST_F(ToolsTest, AliveMutateRejectsIncoherentFlagCombos) {
   EXPECT_EQ(runCmd(tool("alive-mutate") + " -replay=" + TmpDir + " -j=4"), 1);
   EXPECT_EQ(runCmd(tool("alive-mutate") + " -replay=" + TmpDir + " -resume"),
             1);
-  EXPECT_EQ(runCmd(tool("alive-mutate") + " -replay=" + TmpDir + " -isolate"),
+  // -fanout is named in the refusal (the bundle path alone would fail too).
+  std::string ReplayErr = TmpDir + "/replay_fanout.txt";
+  EXPECT_EQ(runCmd("(" + tool("alive-mutate") + " -replay=" + TmpDir +
+                   " -fanout=2 2> " + ReplayErr + ")"),
             1);
+  EXPECT_NE(readFile(ReplayErr).find("-replay cannot be combined with "
+                                     "-fanout"),
+            std::string::npos)
+      << readFile(ReplayErr);
   EXPECT_EQ(runCmd(tool("alive-mutate") + " -n=5 -resume" + In), 1);
-  EXPECT_EQ(runCmd(tool("alive-mutate") + " -t=1 -isolate" + In), 1);
-  EXPECT_EQ(runCmd(tool("alive-mutate") + " -n=5 -isolate -trace-json=" +
+  EXPECT_EQ(runCmd(tool("alive-mutate") + " -t=1 -fanout=2" + In), 1);
+  EXPECT_EQ(runCmd(tool("alive-mutate") + " -n=5 -fanout=2 -trace-json=" +
                    TmpDir + "/t.json" + In),
             1);
   // -resume with a conflicting -seed is refused by the checkpoint meta.
@@ -234,9 +241,9 @@ TEST_F(ToolsTest, AliveMutateRejectsTimeLimitedCheckpointAndFeedback) {
                    "/ck_t" + In),
             1);
   EXPECT_EQ(runCmd(tool("alive-mutate") + " -t=1 -feedback" + In), 1);
-  // Feedback's epoch barrier excludes isolation and bundle trails, and
+  // Feedback's epoch barrier excludes -fanout and bundle trails, and
   // -distill is meaningless without the coverage a feedback run collects.
-  EXPECT_EQ(runCmd(tool("alive-mutate") + " -n=5 -feedback -isolate" + In),
+  EXPECT_EQ(runCmd(tool("alive-mutate") + " -n=5 -feedback -fanout=2" + In),
             1);
   EXPECT_EQ(runCmd(tool("alive-mutate") + " -n=5 -feedback -bug-bundles=" +
                    TmpDir + "/bb" + In),
@@ -284,15 +291,32 @@ TEST_F(ToolsTest, AliveMutateResumeSmoke) {
   EXPECT_EQ(R1.substr(0, V1), R2.substr(0, V2));
 }
 
-TEST_F(ToolsTest, AliveMutateIsolateSurvivesCrashingPass) {
+TEST_F(ToolsTest, AliveMutateFanoutSurvivesCrashingPass) {
   // The CI acceptance scenario at the CLI: a pass that SIGSEGVs inside
-  // the shard must not kill the campaign; the tool finishes and reports
-  // the contained crashes through the normal bug exit code (2).
+  // the supervised shard must not kill the campaign; the tool finishes
+  // and reports the contained crashes through the normal bug exit code
+  // (2), one crash bug per seed.
   writeFile(TmpDir + "/crashme.ll",
             "define i8 @crashme(i8 %x) {\n"
             "  %r = add i8 %x, 1\n  ret i8 %r\n}\n");
-  EXPECT_EQ(runCmd(tool("alive-mutate") + " -n=2 -isolate "
+  std::string Out = TmpDir + "/crash_fanout.txt";
+  EXPECT_EQ(runCmd("(" + tool("alive-mutate") +
+                   " -n=2 -fanout=1 -retry-base=0.005 -report "
                    "-passes=test-crash,dce " +
-                   TmpDir + "/crashme.ll"),
+                   TmpDir + "/crashme.ll > " + Out + ")"),
             2);
+  std::string Log = readFile(Out);
+  EXPECT_NE(Log.find("crashes:        2"), std::string::npos) << Log;
+  EXPECT_NE(Log.find("supervised shard"), std::string::npos) << Log;
+}
+
+TEST_F(ToolsTest, AliveMutateRejectsRemovedIsolateFlag) {
+  // ArgParser accepts any flag, so without an explicit check -isolate
+  // would quietly run in-process with no containment.
+  std::string Err = TmpDir + "/isolate_err.txt";
+  EXPECT_EQ(runCmd("(" + tool("alive-mutate") + " -n=2 -isolate " + TmpDir +
+                   "/in.ll 2> " + Err + ")"),
+            1);
+  std::string Msg = readFile(Err);
+  EXPECT_NE(Msg.find("-fanout=<n>"), std::string::npos) << Msg;
 }
