@@ -1073,6 +1073,10 @@ CampaignEngine::runSupervised(const std::vector<std::string> &Testable,
   SC.Retry.BaseDelaySeconds = SV.RetryBaseDelay;
   SC.Retry.MaxDelaySeconds = SV.RetryMaxDelay;
   SC.LeaseHeartbeatSeconds = SV.LeaseHeartbeatSeconds;
+  // Each lease publishes its in-flight pipeline run tally there, so the
+  // crash hook can account a mutant whose pipeline killed the process.
+  const unsigned TallyWords = 2 * MasterLoop->pipelineSize();
+  SC.ScratchWords = TallyWords;
 
   Supervisor Sup(SC, [&](const Supervisor::ShardContext &Ctx) -> int {
     // ------- child: one lease, sequential, in a disposable process. The
@@ -1093,6 +1097,7 @@ CampaignEngine::runSupervised(const std::vector<std::string> &Testable,
     // queue lives in the parent's address space.
     WOpts.Survival.SignalGuard = false;
     WOpts.Events = nullptr;
+    WOpts.PassTally = Ctx.Scratch;
     FuzzerLoop Loop(WOpts);
     Loop.loadModule(cloneModuleSubset(*MasterLoop->module(), Testable));
     uint64_t Cursor = Ctx.Lo;
@@ -1134,6 +1139,8 @@ CampaignEngine::runSupervised(const std::vector<std::string> &Testable,
         Ctx.Beat->fetch_add(1, std::memory_order_relaxed);
         continue;
       }
+      for (unsigned W = 0; W != TallyWords; ++W)
+        Ctx.Scratch[W].store(0, std::memory_order_relaxed);
       Ctx.Cur->store(Off, std::memory_order_release);
       Loop.runIteration(Opts.BaseSeed + Off);
       Ctx.Cur->store(Supervisor::IdleOffset, std::memory_order_release);
@@ -1173,7 +1180,8 @@ CampaignEngine::runSupervised(const std::vector<std::string> &Testable,
                        const std::string &Why) -> BugRecord {
     // The offset took the process down repeatedly: a crash bug of the
     // compiler-under-test. Record it from the parent side — the mutant
-    // regenerates deterministically from its seed.
+    // regenerates deterministically from its seed, and is accounted as
+    // the in-process crash path accounts it, pipeline tally included.
     uint64_t Seed = Opts.BaseSeed + Off;
     BugRecord B;
     B.Kind = BugRecord::Crash;
@@ -1191,7 +1199,8 @@ CampaignEngine::runSupervised(const std::vector<std::string> &Testable,
     bool Survived = runWithSignalGuard(
         [&] {
           MutationTrail Trail;
-          std::unique_ptr<Module> Mutant = MasterLoop->makeMutant(Seed, Trail);
+          std::unique_ptr<Module> Mutant = MasterLoop->makeCrashedMutant(
+              Seed, Trail, Stats, Registry, Sup.scratch(I));
           B.MutantIR = printModule(*Mutant);
           if (!Opts.BugBundleDir.empty()) {
             BundleInputs In{Opts,         Testable, *MasterLoop->module(),

@@ -36,6 +36,7 @@ FuzzerLoop::FuzzerLoop(const FuzzOptions &Opts) : Opts(Opts) {
     ConfigError = "empty pass pipeline '" + this->Opts.Passes + "'";
   PM.setBugContext(&this->Opts.Bugs);
   PM.setTelemetry(&Registry);
+  PM.setRunTally(this->Opts.PassTally);
   // Profiling rides the flight recorder's span sites: enabling -profile
   // implicitly attaches a recorder (for the live span stack) even when
   // -trace-json was not requested.
@@ -140,6 +141,20 @@ std::unique_ptr<Module> FuzzerLoop::makeMutant(uint64_t Seed,
                                                MutationTrail &TrailOut) const {
   uint64_t Ignored = 0;
   return makeMutantImpl(Seed, nullptr, Ignored, nullptr, &TrailOut);
+}
+
+std::unique_ptr<Module>
+FuzzerLoop::makeCrashedMutant(uint64_t Seed, MutationTrail &TrailOut,
+                              FuzzStats &IntoStats, StatRegistry &IntoReg,
+                              const std::atomic<uint64_t> *PassTally) const {
+  uint64_t Applied = 0;
+  std::unique_ptr<Module> Mutant =
+      makeMutantImpl(Seed, nullptr, Applied, &IntoReg, &TrailOut);
+  ++IntoStats.MutantsGenerated;
+  IntoStats.MutationsApplied += Applied;
+  if (PassTally)
+    PM.addRunTally(IntoReg, PassTally);
+  return Mutant;
 }
 
 std::unique_ptr<Module>

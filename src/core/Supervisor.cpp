@@ -51,6 +51,16 @@ HeartbeatSlot *slots(void *Page) {
                                            sizeof(Control));
 }
 
+/// Lease \p I's \p Words scratch words (null when \p Words is 0). They
+/// follow the \p Leases heartbeat slots, lease by lease.
+std::atomic<uint64_t> *scratchWords(void *Page, size_t Leases,
+                                    unsigned Words, unsigned I) {
+  if (!Words)
+    return nullptr;
+  return reinterpret_cast<std::atomic<uint64_t> *>(slots(Page) + Leases) +
+         (size_t)I * Words;
+}
+
 /// A beat-silent child is only wedged if it also sat idle on the CPU: it
 /// must have burned less than this fraction of the silent wall-clock
 /// window. 5% spares a mid-solver-query child even at fanout 16 on one
@@ -118,7 +128,8 @@ bool Supervisor::init(std::string &Error) {
   unsigned N = Cfg.Iterations
                    ? (unsigned)std::min<uint64_t>(Cfg.Fanout, Cfg.Iterations)
                    : Cfg.Fanout;
-  PageSize = sizeof(Control) + N * sizeof(HeartbeatSlot);
+  PageSize = sizeof(Control) + N * sizeof(HeartbeatSlot) +
+             (size_t)N * Cfg.ScratchWords * sizeof(std::atomic<uint64_t>);
   void *Raw = mmap(nullptr, PageSize, PROT_READ | PROT_WRITE,
                    MAP_SHARED | MAP_ANONYMOUS, -1, 0);
   if (Raw == MAP_FAILED || faultAt("supervisor.mmap")) {
@@ -146,6 +157,9 @@ bool Supervisor::init(std::string &Error) {
     HB[I].Done.store(0, std::memory_order_relaxed);
     HB[I].Beat.store(0, std::memory_order_relaxed);
   }
+  std::atomic<uint64_t> *Scratch = scratchWords(Page, N, Cfg.ScratchWords, 0);
+  for (size_t W = 0; W != (size_t)N * Cfg.ScratchWords; ++W)
+    new (&Scratch[W]) std::atomic<uint64_t>(0);
   Initialized = true;
   return true;
 }
@@ -154,6 +168,12 @@ const std::atomic<uint64_t> *Supervisor::doneCounter(unsigned I) const {
   if (!Page || I >= Leases.size())
     return nullptr;
   return &slots(Page)[I].Done;
+}
+
+const std::atomic<uint64_t> *Supervisor::scratch(unsigned I) const {
+  if (!Page || I >= Leases.size())
+    return nullptr;
+  return scratchWords(Page, Leases.size(), Cfg.ScratchWords, I);
 }
 
 void Supervisor::appendNote(Lease &L, const std::string &Msg) {
@@ -195,6 +215,7 @@ bool Supervisor::spawn(Lease &L, double Now) {
     Ctx.Done = &S.Done;
     Ctx.Beat = &S.Beat;
     Ctx.Stop = &control(Page)->Stop;
+    Ctx.Scratch = scratchWords(Page, Leases.size(), Cfg.ScratchWords, L.Index);
     _exit(Body ? Body(Ctx) : 0);
   }
   // ------- parent

@@ -85,6 +85,9 @@ struct SupervisorConfig {
   unsigned SeedDeathThreshold = 2;
   /// Parent poll cadence.
   double PollSeconds = 0.01;
+  /// Words of shared scratch per lease (ShardContext::Scratch): the child
+  /// writes them, the CrashHook reads what a dead child left there.
+  unsigned ScratchWords = 0;
 };
 
 /// Final accounting for one shard lease.
@@ -148,6 +151,10 @@ public:
     std::atomic<uint64_t> *Beat = nullptr;
     /// Cooperative stop flag, set by the parent.
     const std::atomic<uint32_t> *Stop = nullptr;
+    /// SupervisorConfig::ScratchWords words of the control page (null
+    /// when there are none). They outlive the child: the CrashHook reads
+    /// them through scratch().
+    std::atomic<uint64_t> *Scratch = nullptr;
   };
 
   /// Runs in the forked child; its return value becomes the exit code.
@@ -186,6 +193,10 @@ public:
   /// The lease's live done counter in the control page (for the engine's
   /// observability shard refs). Valid between init() and destruction.
   const std::atomic<uint64_t> *doneCounter(unsigned I) const;
+
+  /// The lease's scratch words (null when ScratchWords is 0). Valid
+  /// between init() and destruction.
+  const std::atomic<uint64_t> *scratch(unsigned I) const;
 
   void setCrashHook(CrashHook H) { OnCrash = std::move(H); }
   void setStopCheck(StopCheck S) { ShouldStop = std::move(S); }
@@ -245,7 +256,7 @@ private:
   double TickSeconds = 0;
 
   /// The MAP_SHARED control page: Control block + one HeartbeatSlot per
-  /// lease (layout in Supervisor.cpp).
+  /// lease + ScratchWords words per lease (layout in Supervisor.cpp).
   void *Page = nullptr;
   size_t PageSize = 0;
   std::vector<Lease> Leases;

@@ -24,19 +24,19 @@ uint64_t alive::oracleHash(uint64_t Seed, uint64_t A, uint64_t B, uint64_t C) {
   return X;
 }
 
-Memory::Memory()
-    : Bytes(Size, 0), Init(Size, 0), PoisonShadow(Size, 0) {}
-
 uint64_t Memory::allocate(uint64_t NumBytes, uint64_t Align) {
   if (Align == 0)
     Align = 1;
   uint64_t Base = (Bump + Align - 1) / Align * Align;
   if (NumBytes == 0)
     NumBytes = 1; // zero-sized allocations still get distinct addresses
-  if (Base + NumBytes > Size)
+  if (Base > Size || NumBytes > Size - Base)
     return 0;
   Bump = Base + NumBytes;
   Allocs.push_back({Base, NumBytes});
+  Bytes.resize(Bump);
+  Init.resize(Bump);
+  PoisonShadow.resize(Bump);
   return Base;
 }
 

@@ -84,16 +84,16 @@ struct ConcVal {
 constexpr unsigned PtrBits = 64;
 
 /// Flat byte-addressed memory. Address 0 is the null pointer; a guard zone
-/// below FirstValidAddr is never allocated.
+/// below FirstValidAddr is never allocated. The address space is Size
+/// bytes, but only the bytes up to the end of the last allocation are
+/// backed, so a trial that allocates nothing builds and copies nothing.
 class Memory {
 public:
   static constexpr uint64_t Size = 1 << 16;
   static constexpr uint64_t FirstValidAddr = 64;
 
-  Memory();
-
   /// Bump-allocates \p Bytes bytes with \p Align alignment; returns the
-  /// address, or 0 if out of memory.
+  /// address, or 0 if the allocation would end past Size.
   uint64_t allocate(uint64_t Bytes, uint64_t Align);
 
   /// True if [Addr, Addr+Bytes) lies entirely within one allocation.
@@ -101,15 +101,26 @@ public:
   /// Bounds of the allocation containing \p Addr; false if none.
   bool findAllocation(uint64_t Addr, uint64_t &Base, uint64_t &Len) const;
 
-  // Raw byte access with poison/init shadow state.
-  uint8_t readByte(uint64_t Addr) const { return Bytes[Addr]; }
+  // Raw byte access with poison/init shadow state. \p Addr must lie below
+  // the end of the last allocation.
+  uint8_t readByte(uint64_t Addr) const {
+    assert(Addr < Bytes.size() && "read of unbacked memory");
+    return Bytes[Addr];
+  }
   void writeByte(uint64_t Addr, uint8_t V, bool Poison) {
+    assert(Addr < Bytes.size() && "write to unbacked memory");
     Bytes[Addr] = V;
     Init[Addr] = 1;
     PoisonShadow[Addr] = Poison;
   }
-  bool isInit(uint64_t Addr) const { return Init[Addr]; }
-  bool isPoison(uint64_t Addr) const { return PoisonShadow[Addr]; }
+  bool isInit(uint64_t Addr) const {
+    assert(Addr < Init.size() && "read of unbacked memory");
+    return Init[Addr];
+  }
+  bool isPoison(uint64_t Addr) const {
+    assert(Addr < PoisonShadow.size() && "read of unbacked memory");
+    return PoisonShadow[Addr];
+  }
 
   /// Deep copy for snapshot/restore around source/target runs.
   Memory clone() const { return *this; }

@@ -68,6 +68,19 @@ public:
   /// histogram per module sweep. \p Stats must outlive the PassManager.
   void setTelemetry(StatRegistry *Stats);
 
+  /// Attaches a run tally (null detaches): two slots per pass, in
+  /// pipeline order, to which run() adds the same function-level runs and
+  /// changes it records in the telemetry registry. The owner zeroes them.
+  /// They may live in memory shared with a supervising process, which
+  /// then learns how far a pipeline got when its process died in it.
+  void setRunTally(std::atomic<uint64_t> *Slots) { Tally = Slots; }
+
+  /// Adds a run tally of this pipeline to \p Stats under the counter names
+  /// run() records, so a pipeline run that never returned is accounted as
+  /// if its own process had recorded it.
+  void addRunTally(StatRegistry &Stats,
+                   const std::atomic<uint64_t> *Slots) const;
+
   /// Attaches a flight recorder (null detaches): each run() sweep then
   /// records one span per pass, named "pass.<name>", covering the pass's
   /// whole-module sweep. \p Trace must outlive the PassManager. Disabled
@@ -99,6 +112,7 @@ private:
   const BugInjectionContext *BugCtx = nullptr;
   CancellationToken *Watchdog = nullptr;
   StatRegistry *Stats = nullptr;
+  std::atomic<uint64_t> *Tally = nullptr;
   /// Cached stat slots, parallel to Passes (rebuilt lazily when passes are
   /// added after setTelemetry): the hot loop must not probe the registry
   /// map per pass per sweep.

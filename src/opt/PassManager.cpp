@@ -64,16 +64,31 @@ bool PassManager::run(Module &M, ChangedFunctionSet *ChangedOut) {
           return Changed;
         if (T)
           ++*T->Invocations;
+        if (Tally)
+          Tally[2 * PI].fetch_add(1, std::memory_order_relaxed);
         if (P.runOnFunction(*F)) {
           Changed = true;
           if (T)
             ++*T->Changed;
+          if (Tally)
+            Tally[2 * PI + 1].fetch_add(1, std::memory_order_relaxed);
           if (ChangedOut)
             ChangedOut->insert(F->getName());
         }
       }
   }
   return Changed;
+}
+
+void PassManager::addRunTally(StatRegistry &S,
+                              const std::atomic<uint64_t> *Slots) const {
+  for (size_t PI = 0; PI != Passes.size(); ++PI) {
+    std::string Base = "pass." + Passes[PI]->getName();
+    S.counter(Base + ".invocations") +=
+        Slots[2 * PI].load(std::memory_order_relaxed);
+    S.counter(Base + ".changed") +=
+        Slots[2 * PI + 1].load(std::memory_order_relaxed);
+  }
 }
 
 bool PassManager::runToFixpoint(Module &M, unsigned MaxIter,

@@ -7,10 +7,25 @@
 #include "tv/FunctionEncoder.h"
 
 #include "analysis/DominatorTree.h"
+#include "ir/Interpreter.h"
 
 #include <set>
 
 using namespace alive;
+
+namespace {
+
+/// Bits of a scalar integer or pointer value.
+unsigned scalarBits(const Type *T) {
+  return T->isPointerTy() ? PtrBits : T->getIntegerBitWidth();
+}
+
+/// \p N rounded up to ArgBufferAlign.
+uint64_t alignToBuffer(uint64_t N) {
+  return (N + ArgBufferAlign - 1) / ArgBufferAlign * ArgBufferAlign;
+}
+
+} // namespace
 
 bool FunctionEncoder::isSymbolicallySupported(const Function &F,
                                               std::string &Why) {
@@ -23,11 +38,24 @@ bool FunctionEncoder::isSymbolicallySupported(const Function &F,
     Why = "non-integer return type";
     return false;
   }
-  for (unsigned I = 0; I != F.getNumArgs(); ++I)
-    if (!F.getArg(I)->getType()->isIntegerTy()) {
-      Why = "non-integer argument type";
+  // Every pointer argument's buffer must fit the trial address space, or
+  // the concrete allocator would hand it the null address instead.
+  uint64_t BufferEnd = Memory::FirstValidAddr;
+  for (unsigned I = 0; I != F.getNumArgs(); ++I) {
+    Type *T = F.getArg(I)->getType();
+    if (T->isIntegerTy())
+      continue;
+    if (!T->isPointerTy()) {
+      Why = "non-integer, non-pointer argument type";
       return false;
     }
+    uint64_t Bytes = argBufferBytes(F.paramAttrs(I).Dereferenceable);
+    if (Bytes > Memory::Size - BufferEnd) {
+      Why = "pointer argument buffers exceed the trial address space";
+      return false;
+    }
+    BufferEnd = alignToBuffer(BufferEnd + Bytes);
+  }
 
   for (BasicBlock *BB : F.blocks()) {
     for (Instruction *I : BB->insts()) {
@@ -92,13 +120,32 @@ bool FunctionEncoder::isSymbolicallySupported(const Function &F,
 
 std::vector<EncodedValue> FunctionEncoder::makeArguments(const Function &F) {
   std::vector<EncodedValue> Args;
+  NullBits.assign(F.getNumArgs(), nullptr);
+  // Where the next non-null pointer argument's buffer starts.
+  TermRef NextBuffer = B.mkConst(PtrBits, Memory::FirstValidAddr);
   for (unsigned I = 0; I != F.getNumArgs(); ++I) {
-    unsigned W = F.getArg(I)->getType()->getIntegerBitWidth();
+    Type *T = F.getArg(I)->getType();
     std::string Name =
         F.getArg(I)->hasName() ? F.getArg(I)->getName() : std::to_string(I);
     EncodedValue EV;
-    EV.Val = B.mkVar(W, "arg." + Name);
-    EV.Poison = B.mkVar(1, "arg.poison." + Name);
+    if (!T->isPointerTy()) {
+      EV.Val = B.mkVar(T->getIntegerBitWidth(), "arg." + Name);
+      EV.Poison = B.mkVar(1, "arg.poison." + Name);
+      Args.push_back(EV);
+      continue;
+    }
+    TermRef Stride = B.mkConst(
+        PtrBits,
+        alignToBuffer(argBufferBytes(F.paramAttrs(I).Dereferenceable)));
+    EV.Val = NextBuffer;
+    EV.Poison = B.mkFalse();
+    if (!F.paramAttrs(I).NonNull) {
+      TermRef Null = NullBits[I] = B.mkVar(1, "arg.null." + Name);
+      TermRef Zero = B.mkConst(PtrBits, 0);
+      EV.Val = B.mkIte(Null, Zero, NextBuffer);
+      Stride = B.mkIte(Null, Zero, Stride);
+    }
+    NextBuffer = B.mkAdd(NextBuffer, Stride);
     Args.push_back(EV);
   }
   return Args;
@@ -108,13 +155,12 @@ EncodedValue FunctionEncoder::getValue(const Value *V) {
   if (const auto *CI = dyn_cast<ConstantInt>(V))
     return {B.mkConst(CI->getValue()), B.mkFalse()};
   if (isa<ConstantPoison>(V))
-    return {B.mkConst(APInt::getZero(V->getType()->getIntegerBitWidth())),
-            B.mkTrue()};
+    return {B.mkConst(scalarBits(V->getType()), 0), B.mkTrue()};
   // Undef is modeled as the concrete value zero throughout this toolchain
-  // (documented semantic narrowing; see DESIGN.md).
-  if (isa<ConstantUndef>(V))
-    return {B.mkConst(APInt::getZero(V->getType()->getIntegerBitWidth())),
-            B.mkFalse()};
+  // (documented semantic narrowing; see DESIGN.md); an undef pointer is
+  // therefore null.
+  if (isa<ConstantUndef>(V) || isa<ConstantNullPtr>(V))
+    return {B.mkConst(scalarBits(V->getType()), 0), B.mkFalse()};
   auto It = Values.find(V);
   assert(It != Values.end() && "value not yet encoded");
   return It->second;

@@ -64,14 +64,43 @@ enum class TrialOutcome {
   Cancelled,             ///< the iteration watchdog cut the trial short
 };
 
+/// The inputs of one concrete refinement trial.
+struct TrialInputs {
+  /// The pointer arguments' buffers, as both runs start from them.
+  Memory Mem;
+  /// One value per parameter, in parameter order.
+  std::vector<ConcVal> Args;
+  /// Per pointer argument: its buffer, or (0, 0) when it is null.
+  std::vector<uint64_t> BufAddrs, BufSizes;
+
+  /// Appends pointer argument \p I of \p Src under the pointer model of
+  /// argBufferBytes: null, or the next buffer, filled with bytes seeded by
+  /// \p TrialSeed so that loads through it are defined.
+  void addPointer(const Function &Src, unsigned I, bool Null,
+                  uint64_t TrialSeed) {
+    uint64_t Addr = 0, Bytes = 0;
+    if (!Null) {
+      Bytes = argBufferBytes(Src.paramAttrs(I).Dereferenceable);
+      Addr = Mem.allocate(Bytes, ArgBufferAlign);
+      if (!Addr)
+        Bytes = 0; // past the address space: the argument is null
+      for (uint64_t Off = 0; Off != Bytes; ++Off)
+        Mem.writeByte(Addr + Off,
+                      (uint8_t)oracleHash(TrialSeed ^ 0x5EED, Addr + Off),
+                      /*Poison=*/false);
+    }
+    Args.push_back(ConcVal::scalar(APInt(PtrBits, Addr)));
+    BufAddrs.push_back(Addr);
+    BufSizes.push_back(Bytes);
+  }
+};
+
 /// One concrete refinement trial.
 TrialOutcome runConcreteTrial(const Function &Src, const Function &Tgt,
-                              const std::vector<ConcVal> &Args,
-                              const Memory &InitialMem,
-                              const ExecOptions &EOpts, std::string &Detail,
-                              const std::vector<uint64_t> &ArgBufAddrs,
-                              const std::vector<uint64_t> &ArgBufSizes) {
-  Memory SrcMem = InitialMem.clone();
+                              const TrialInputs &In, const ExecOptions &EOpts,
+                              std::string &Detail) {
+  const std::vector<ConcVal> &Args = In.Args;
+  Memory SrcMem = In.Mem.clone();
   Interpreter SrcInterp(SrcMem, EOpts);
   ExecResult SR = SrcInterp.run(Src, Args);
   if (SR.Status == ExecStatus::Cancelled)
@@ -83,7 +112,7 @@ TrialOutcome runConcreteTrial(const Function &Src, const Function &Tgt,
   if (SR.Status != ExecStatus::Ok)
     return TrialOutcome::VacuousSrcUnsupported;
 
-  Memory TgtMem = InitialMem.clone();
+  Memory TgtMem = In.Mem.clone();
   Interpreter TgtInterp(TgtMem, EOpts);
   ExecResult TR = TgtInterp.run(Tgt, Args);
 
@@ -121,8 +150,8 @@ TrialOutcome runConcreteTrial(const Function &Src, const Function &Tgt,
   }
 
   // Memory refinement over caller-visible argument buffers.
-  for (size_t BufIdx = 0; BufIdx != ArgBufAddrs.size(); ++BufIdx) {
-    uint64_t Base = ArgBufAddrs[BufIdx], Len = ArgBufSizes[BufIdx];
+  for (size_t BufIdx = 0; BufIdx != In.BufAddrs.size(); ++BufIdx) {
+    uint64_t Base = In.BufAddrs[BufIdx], Len = In.BufSizes[BufIdx];
     for (uint64_t Off = 0; Off != Len; ++Off) {
       uint64_t Addr = Base + Off;
       bool SrcDefined = SrcMem.isInit(Addr) && !SrcMem.isPoison(Addr);
@@ -154,7 +183,6 @@ TVResult checkConcrete(const Function &Src, const Function &Tgt,
     bool IsPointer = false;
     unsigned Lanes = 1;
     unsigned Bits = 0; // per lane
-    uint64_t BufSize = 0;
   };
   std::vector<ArgShape> Shapes;
   uint64_t TotalBits = 0;
@@ -163,7 +191,6 @@ TVResult checkConcrete(const Function &Src, const Function &Tgt,
     ArgShape S;
     if (T->isPointerTy()) {
       S.IsPointer = true;
-      S.BufSize = std::max<uint64_t>(Src.paramAttrs(I).Dereferenceable, 8);
       TotalBits += 2; // pointer choices are sampled, count a token amount
     } else if (const auto *VT = dyn_cast<VectorType>(T)) {
       S.Lanes = VT->getNumElements();
@@ -186,12 +213,11 @@ TVResult checkConcrete(const Function &Src, const Function &Tgt,
 
   // Builds the memory image and argument vector for one trial.
   auto buildTrial = [&](RandomGenerator &RNG, uint64_t TrialSeed,
-                        bool Exhaustive, uint64_t EnumIndex, Memory &Mem,
-                        std::vector<ConcVal> &Args,
-                        std::vector<uint64_t> &BufAddrs,
-                        std::vector<uint64_t> &BufSizes) {
+                        bool Exhaustive, uint64_t EnumIndex,
+                        TrialInputs &In) {
     EOpts.TrialSeed = TrialSeed;
     uint64_t Cursor = EnumIndex;
+    std::vector<ConcVal> &Args = In.Args;
     for (unsigned I = 0; I != Shapes.size(); ++I) {
       const ArgShape &S = Shapes[I];
       if (S.IsPointer) {
@@ -199,21 +225,7 @@ TVResult checkConcrete(const Function &Src, const Function &Tgt,
                         (Exhaustive ? (Cursor & 1) : RNG.chance(1, 8));
         if (Exhaustive)
           Cursor >>= 2;
-        if (PassNull) {
-          Args.push_back(ConcVal::scalar(APInt::getZero(PtrBits)));
-          BufAddrs.push_back(0);
-          BufSizes.push_back(0);
-        } else {
-          uint64_t Addr = Mem.allocate(S.BufSize, 8);
-          // Initialize the buffer with seeded bytes so loads are defined.
-          for (uint64_t Off = 0; Off != S.BufSize; ++Off)
-            Mem.writeByte(Addr + Off,
-                          (uint8_t)oracleHash(TrialSeed ^ 0x5EED, Addr + Off),
-                          /*Poison=*/false);
-          Args.push_back(ConcVal::scalar(APInt(PtrBits, Addr)));
-          BufAddrs.push_back(Addr);
-          BufSizes.push_back(S.BufSize);
-        }
+        In.addPointer(Src, I, PassNull, TrialSeed);
         continue;
       }
       ConcVal V;
@@ -261,17 +273,14 @@ TVResult checkConcrete(const Function &Src, const Function &Tgt,
 
   RandomGenerator RNG(Opts.Seed);
   for (uint64_t T = 0; T != Trials; ++T) {
-    Memory Mem;
-    std::vector<ConcVal> Args;
-    std::vector<uint64_t> BufAddrs, BufSizes;
+    TrialInputs In;
     uint64_t TrialSeed = oracleHash(Opts.Seed, T);
-    buildTrial(RNG, TrialSeed, Exhaustive, T, Mem, Args, BufAddrs, BufSizes);
-    switch (runConcreteTrial(Src, Tgt, Args, Mem, EOpts, Detail, BufAddrs,
-                             BufSizes)) {
+    buildTrial(RNG, TrialSeed, Exhaustive, T, In);
+    switch (runConcreteTrial(Src, Tgt, In, EOpts, Detail)) {
     case TrialOutcome::Violation:
       Res.Verdict = TVVerdict::Incorrect;
       Res.Detail = Detail;
-      Res.CounterExample = Args; // one entry per parameter, lanes intact
+      Res.CounterExample = In.Args; // one entry per parameter, lanes intact
       RecordVacuousStats();
       return Res;
     case TrialOutcome::NoViolation:
@@ -407,28 +416,34 @@ TVResult checkSymbolic(const Function &Src, const Function &Tgt,
   }
 
   // SAT: extract the model and CONFIRM it concretely (the freeze encoding
-  // may admit spurious models).
-  std::vector<ConcVal> ConcArgs;
+  // may admit spurious models). A pointer argument is read back by its
+  // null bit alone and gets its buffer the way a concrete trial builds
+  // it: its address term was blasted only where the violation needed it,
+  // and the pointer model fixes every non-null address anyway.
+  TrialInputs In;
   for (unsigned I = 0; I != Src.getNumArgs(); ++I) {
+    if (Src.getArg(I)->getType()->isPointerTy()) {
+      TermRef Null = Enc.nullBit(I);
+      In.addPointer(Src, I, Null && !BB.modelValue(Null).isZero(), Opts.Seed);
+      continue;
+    }
     APInt Val = BB.modelValue(Args[I].Val);
     bool Poison = !BB.modelValue(Args[I].Poison).isZero();
-    ConcArgs.push_back(Poison ? ConcVal::scalarPoison(Val.getBitWidth())
-                              : ConcVal::scalar(Val));
+    In.Args.push_back(Poison ? ConcVal::scalarPoison(Val.getBitWidth())
+                             : ConcVal::scalar(Val));
   }
 
   ExecOptions EOpts;
   EOpts.Fuel = Opts.Fuel;
   EOpts.TrialSeed = Opts.Seed;
   EOpts.Token = Opts.Token;
-  Memory Mem;
   std::string Detail;
-  TrialOutcome Replay =
-      runConcreteTrial(Src, Tgt, ConcArgs, Mem, EOpts, Detail, {}, {});
+  TrialOutcome Replay = runConcreteTrial(Src, Tgt, In, EOpts, Detail);
   if (Replay == TrialOutcome::Violation) {
     Res.Verdict = TVVerdict::Incorrect;
     Res.Detail = Detail;
-    Res.CounterExample = ConcArgs; // one entry per parameter, poison kept
-    Res.UsedConcretePath = true;   // the replay decided the verdict
+    Res.CounterExample = In.Args; // one entry per parameter, poison kept
+    Res.UsedConcretePath = true;  // the replay decided the verdict
     return Res;
   }
   if (Replay == TrialOutcome::Cancelled) {

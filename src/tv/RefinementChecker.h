@@ -15,16 +15,19 @@
 ///     for memory functions, leave refining contents in escaped memory).
 ///
 /// Two proof paths:
-///   1. symbolic — loop-free, memory-free integer functions are encoded as
-///      bit-vector terms (value + poison wires + a UB accumulator) and the
-///      negated refinement condition goes to the CDCL SAT solver; UNSAT is
-///      a proof over all inputs, SAT yields a counterexample that is then
-///      CONFIRMED by concrete interpretation (guarding against the
-///      freeze/undef encoding approximations);
-///   2. concrete — functions with memory, vectors, pointers or loops are
-///      checked by bounded enumeration: exhaustive when the input domain is
-///      small, seeded sampling with corner values otherwise (the documented
-///      bounded substitution for Alive2's SMT memory model).
+///   1. symbolic — loop-free, memory-free integer functions, including
+///      ones that only pass around or compare pointer arguments, are
+///      encoded as bit-vector terms (value + poison wires + a UB
+///      accumulator; pointers under the trials' pointer model, see
+///      argBufferBytes) and the negated refinement condition goes to the
+///      CDCL SAT solver; UNSAT is a proof over all inputs, SAT yields a
+///      counterexample that is then CONFIRMED by concrete interpretation
+///      (guarding against the freeze/undef encoding approximations);
+///   2. concrete — functions with memory operations, vectors, external
+///      calls or loops are checked by bounded enumeration: exhaustive when
+///      the input domain is small, seeded sampling with corner values
+///      otherwise (the documented bounded substitution for Alive2's SMT
+///      memory model).
 ///
 //===----------------------------------------------------------------------===//
 

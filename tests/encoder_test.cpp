@@ -11,6 +11,10 @@
 /// same cross-check the refinement checker relies on when it confirms SAT
 /// counterexamples by replay.
 ///
+/// Functions with opaque pointer arguments are checked one level up as
+/// well: every symbolic verdict must match exhaustive interpretation over
+/// each null/non-null choice and every integer input.
+///
 //===----------------------------------------------------------------------===//
 
 #include "corpus/Corpus.h"
@@ -19,6 +23,7 @@
 #include "parser/Printer.h"
 #include "support/RandomGenerator.h"
 #include "tv/FunctionEncoder.h"
+#include "tv/RefinementChecker.h"
 
 #include <gtest/gtest.h>
 
@@ -45,7 +50,26 @@ unsigned crossCheck(const Function &F, unsigned Trials, uint64_t Seed) {
   for (unsigned T = 0; T != Trials; ++T) {
     std::map<unsigned, APInt> Assign;
     std::vector<ConcVal> CArgs;
+    Memory Mem;
     for (unsigned I = 0; I != F.getNumArgs(); ++I) {
+      if (F.getArg(I)->getType()->isPointerTy()) {
+        // The trials' pointer model: never poison, null only without
+        // nonnull, otherwise the allocator's next buffer.
+        EXPECT_TRUE(B.evaluate(Args[I].Poison, {}).isZero());
+        TermRef Null = Enc.nullBit(I);
+        EXPECT_EQ(Null == nullptr, F.paramAttrs(I).NonNull);
+        bool IsNull = Null && RNG.flip();
+        if (Null)
+          Assign[Null->VarId] = APInt(1, IsNull);
+        uint64_t Addr =
+            IsNull ? 0
+                   : Mem.allocate(
+                         std::max<uint64_t>(F.paramAttrs(I).Dereferenceable,
+                                            8),
+                         8);
+        CArgs.push_back(ConcVal::scalar(APInt(PtrBits, Addr)));
+        continue;
+      }
       unsigned W = F.getArg(I)->getType()->getIntegerBitWidth();
       APInt V = RNG.nextAPInt(W);
       Assign[Args[I].Val->VarId] = V;
@@ -54,7 +78,6 @@ unsigned crossCheck(const Function &F, unsigned Trials, uint64_t Seed) {
     }
 
     ExecOptions Opts;
-    Memory Mem;
     Interpreter Interp(Mem, Opts);
     ExecResult R = Interp.run(F, CArgs);
 
@@ -80,6 +103,112 @@ unsigned crossCheck(const Function &F, unsigned Trials, uint64_t Seed) {
     ++Compared;
   }
   return Compared;
+}
+
+/// Does \p Tgt fail to refine \p Src on \p Args, each run starting from
+/// its own copy of \p Mem? Only for memory-free functions: the return
+/// value and UB are all that is compared.
+bool violates(const Function &Src, const Function &Tgt,
+              const std::vector<ConcVal> &Args, const Memory &Mem) {
+  Memory SrcMem = Mem.clone(), TgtMem = Mem.clone();
+  ExecResult SR = Interpreter(SrcMem, ExecOptions()).run(Src, Args);
+  if (SR.Status != ExecStatus::Ok)
+    return false; // source UB: any target behavior refines it
+  ExecResult TR = Interpreter(TgtMem, ExecOptions()).run(Tgt, Args);
+  if (TR.Status == ExecStatus::UB)
+    return true;
+  if (SR.IsVoid || SR.Ret.lane().Poison)
+    return false;
+  return TR.Ret.lane().Poison || TR.Ret.lane().Val != SR.Ret.lane().Val;
+}
+
+/// The independent oracle: interprets \p Src and \p Tgt on every input,
+/// i.e. each null/non-null choice of every pointer argument that is not
+/// nonnull, times every integer input. A non-null pointer gets the
+/// allocator's next 8-aligned buffer of max(dereferenceable, 8) bytes.
+/// \returns true when some input shows a violation.
+bool enumerationFindsViolation(const Function &Src, const Function &Tgt) {
+  unsigned TotalBits = 0;
+  for (unsigned I = 0; I != Src.getNumArgs(); ++I) {
+    Type *T = Src.getArg(I)->getType();
+    TotalBits += T->isPointerTy() ? !Src.paramAttrs(I).NonNull
+                                  : T->getIntegerBitWidth();
+  }
+  EXPECT_LE(TotalBits, 16u) << "enumeration too wide";
+  for (uint64_t Index = 0; Index != (uint64_t)1 << TotalBits; ++Index) {
+    uint64_t Cursor = Index;
+    Memory Mem;
+    std::vector<ConcVal> Args;
+    for (unsigned I = 0; I != Src.getNumArgs(); ++I) {
+      Type *T = Src.getArg(I)->getType();
+      if (T->isPointerTy()) {
+        bool Null = false;
+        if (!Src.paramAttrs(I).NonNull) {
+          Null = Cursor & 1;
+          Cursor >>= 1;
+        }
+        uint64_t Bytes =
+            std::max<uint64_t>(Src.paramAttrs(I).Dereferenceable, 8);
+        Args.push_back(ConcVal::scalar(
+            APInt(PtrBits, Null ? 0 : Mem.allocate(Bytes, 8))));
+        continue;
+      }
+      unsigned W = T->getIntegerBitWidth();
+      Args.push_back(ConcVal::scalar(APInt(W, Cursor & ((1u << W) - 1))));
+      Cursor >>= W;
+    }
+    if (violates(Src, Tgt, Args, Mem))
+      return true;
+  }
+  return false;
+}
+
+/// Checks the symbolic verdict on (\p Src, \p Tgt) against
+/// enumerationFindsViolation, and replays a counterexample the way the
+/// benchmark's gate rebuilds it: every non-null pointer must be the
+/// allocator's next buffer. \returns true when the verdict is Incorrect.
+bool checkVerdictAgainstEnumeration(const Function &Src,
+                                    const Function &Tgt) {
+  std::string Why;
+  EXPECT_TRUE(FunctionEncoder::isSymbolicallySupported(Src, Why)) << Why;
+  EXPECT_TRUE(FunctionEncoder::isSymbolicallySupported(Tgt, Why)) << Why;
+  // No concrete trials: an unconfirmed solver model falls back to them,
+  // and the verdict must come from the solver and its replay alone.
+  TVOptions Opts;
+  Opts.ExhaustiveBits = 0;
+  Opts.ConcreteTrials = 0;
+  TVResult R = checkRefinement(Src, Tgt, Opts);
+  bool Violation = enumerationFindsViolation(Src, Tgt);
+  EXPECT_EQ(R.Verdict,
+            Violation ? TVVerdict::Incorrect : TVVerdict::Correct)
+      << printFunction(Src) << printFunction(Tgt) << R.Detail;
+  if (R.Verdict == TVVerdict::Correct) {
+    EXPECT_NE(R.Detail.find("refinement proven"), std::string::npos)
+        << R.Detail;
+  }
+  if (R.Verdict != TVVerdict::Incorrect)
+    return false;
+  EXPECT_EQ(R.CounterExample.size(), Src.getNumArgs());
+  if (R.CounterExample.size() != Src.getNumArgs())
+    return true;
+  Memory Mem;
+  for (unsigned I = 0; I != Src.getNumArgs(); ++I) {
+    if (!Src.getArg(I)->getType()->isPointerTy())
+      continue;
+    const Lane &P = R.CounterExample[I].lane();
+    EXPECT_FALSE(P.Poison);
+    uint64_t Addr = P.Val.getZExtValue();
+    if (Addr == 0) {
+      EXPECT_FALSE(Src.paramAttrs(I).NonNull);
+      continue;
+    }
+    EXPECT_EQ(Addr,
+              Mem.allocate(
+                  std::max<uint64_t>(Src.paramAttrs(I).Dereferenceable, 8),
+                  8));
+  }
+  EXPECT_TRUE(violates(Src, Tgt, R.CounterExample, Mem)) << R.Detail;
+  return true;
 }
 
 /// One operand shape the mul-overflow fold reasons about, with every value
@@ -252,7 +381,7 @@ class EncoderPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(EncoderPropertyTest, RandomFunctionsAgreeWithInterpreter) {
   uint64_t Seed = GetParam();
-  unsigned Checked = 0;
+  unsigned Checked = 0, WithPointers = 0;
   for (unsigned FileIdx = 0; FileIdx != 12; ++FileIdx) {
     auto M = generateRandomModule(Seed * 131 + FileIdx, 2);
     for (Function *F : M->functions()) {
@@ -263,13 +392,121 @@ TEST_P(EncoderPropertyTest, RandomFunctionsAgreeWithInterpreter) {
         continue;
       crossCheck(*F, 24, Seed * 977 + FileIdx);
       ++Checked;
+      for (unsigned I = 0; I != F->getNumArgs(); ++I)
+        if (F->getArg(I)->getType()->isPointerTy()) {
+          ++WithPointers;
+          break;
+        }
     }
   }
   EXPECT_GT(Checked, 4u) << "generator produced too few symbolic functions";
+  EXPECT_GT(WithPointers, 0u) << "no function with a pointer argument";
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EncoderPropertyTest,
                          ::testing::Values(1, 2, 3, 4, 5, 6));
+
+// Bounded-exhaustive pointer comparisons: every predicate over every
+// pair of two pointer arguments and null, under each nonnull and
+// dereferenceable choice, against the same comparison with another
+// predicate or with its operands swapped. Each verdict must match
+// enumeration, and each counterexample must replay.
+TEST(EncoderTest, PointerComparisonVerdictsMatchEnumeration) {
+  const char *Preds[] = {"eq", "ne", "ult", "ugt", "slt", "sge"};
+  const char *Operands[] = {"%p", "%q", "null"};
+  unsigned Checked = 0, Incorrect = 0;
+  for (const char *PAttr : {"", "nonnull "})
+    for (const char *QAttr : {"", "nonnull "})
+      for (unsigned PDeref : {8, 16}) {
+        // One module holds every (predicate, lhs, rhs) function of this
+        // signature, named f_<pred>_<lhs>_<rhs>.
+        std::string IR;
+        auto Name = [](unsigned P, unsigned L, unsigned R) {
+          return "f_" + std::to_string(P) + "_" + std::to_string(L) + "_" +
+                 std::to_string(R);
+        };
+        for (unsigned P = 0; P != std::size(Preds); ++P)
+          for (unsigned L = 0; L != 3; ++L)
+            for (unsigned R = 0; R != 3; ++R)
+              IR += "define i2 @" + Name(P, L, R) + "(ptr " + PAttr +
+                    "dereferenceable(" + std::to_string(PDeref) +
+                    ") %p, ptr " + QAttr + "%q, i2 %x) {\n" +
+                    "  %c = icmp " + Preds[P] + " ptr " + Operands[L] +
+                    ", " + Operands[R] + "\n" +
+                    "  %r = select i1 %c, i2 %x, i2 1\n  ret i2 %r\n}\n";
+        std::string Err;
+        auto M = parseModule(IR, Err);
+        ASSERT_NE(M, nullptr) << Err;
+        for (unsigned P = 0; P != std::size(Preds); ++P)
+          for (unsigned L = 0; L != 3; ++L)
+            for (unsigned R = 0; R != 3; ++R) {
+              const Function &Src = *M->getFunction(Name(P, L, R));
+              for (unsigned P2 = 0; P2 != std::size(Preds); ++P2)
+                for (bool Swap : {false, true}) {
+                  const Function &Tgt =
+                      *M->getFunction(Swap ? Name(P2, R, L) : Name(P2, L, R));
+                  Incorrect += checkVerdictAgainstEnumeration(Src, Tgt);
+                  ++Checked;
+                }
+            }
+      }
+  // Both verdicts occur: the family is not vacuous either way.
+  EXPECT_GT(Incorrect, 0u);
+  EXPECT_LT(Incorrect, Checked);
+}
+
+// Pointer arguments that are only passed through, next to integer work,
+// including the always-UB source.
+TEST(EncoderTest, OpaquePointerVerdictsMatchEnumeration) {
+  const char *Pairs[][2] = {
+      {R"(define i8 @f(ptr dereferenceable(8) %p, i8 %x) {
+  ret i8 %x
+})",
+       R"(define i8 @f(ptr dereferenceable(8) %p, i8 %x) {
+  %c = icmp eq i8 %x, 123
+  %r = select i1 %c, i8 0, i8 %x
+  ret i8 %r
+})"},
+      {R"(define i8 @f(ptr %p, i8 %x, ptr nonnull %q) {
+  %a = add nsw i8 %x, 1
+  ret i8 %a
+})",
+       R"(define i8 @f(ptr %p, i8 %x, ptr nonnull %q) {
+  %a = add i8 %x, 1
+  ret i8 %a
+})"},
+      {R"(define i1 @f(ptr %p, i1 %x) {
+  %d = sdiv i1 -1, 0
+  ret i1 %d
+})",
+       R"(define i1 @f(ptr %p, i1 %x) {
+  ret i1 true
+})"},
+      {R"(define i8 @f(ptr %p, ptr %q, i4 %x) {
+  %n = icmp eq ptr %p, null
+  %z = zext i4 %x to i8
+  %r = select i1 %n, i8 %z, i8 7
+  ret i8 %r
+})",
+       R"(define i8 @f(ptr %p, ptr %q, i4 %x) {
+  %n = icmp ult ptr %p, %q
+  %z = zext i4 %x to i8
+  %r = select i1 %n, i8 %z, i8 7
+  ret i8 %r
+})"},
+  };
+  unsigned Incorrect = 0;
+  for (const auto &Pair : Pairs) {
+    std::string Err;
+    auto S = parseModule(Pair[0], Err);
+    ASSERT_NE(S, nullptr) << Err;
+    auto T = parseModule(Pair[1], Err);
+    ASSERT_NE(T, nullptr) << Err;
+    Incorrect += checkVerdictAgainstEnumeration(*S->getFunction("f"),
+                                                *T->getFunction("f"));
+  }
+  EXPECT_EQ(Incorrect, 2u);
+}
 
 TEST(EncoderTest, UnsupportedShapesAreReported) {
   struct Case {
@@ -281,7 +518,30 @@ TEST(EncoderTest, UnsupportedShapesAreReported) {
   %v = load i32, ptr %p
   ret i32 %v
 })",
-       "argument"},
+       "memory operation"},
+      {R"(define i1 @f(ptr %p, ptr %q, i1 %c) {
+  %s = select i1 %c, ptr %p, ptr %q
+  %r = icmp eq ptr %s, null
+  ret i1 %r
+})",
+       "non-scalar-integer value"},
+      {R"(define i1 @f(ptr %p, ptr %q, i1 %c) {
+entry:
+  br i1 %c, label %a, label %b
+a:
+  br label %j
+b:
+  br label %j
+j:
+  %s = phi ptr [ %p, %a ], [ %q, %b ]
+  %r = icmp eq ptr %s, null
+  ret i1 %r
+})",
+       "non-scalar-integer value"},
+      {R"(define i8 @f(<2 x i8> %v, i8 %x) {
+  ret i8 %x
+})",
+       "argument type"},
       {R"(define i32 @f(i32 %n) {
 entry:
   br label %loop

@@ -237,6 +237,73 @@ TEST(InterpTest, UninitializedLoadReadsZero) {
             0);
 }
 
+// The refinement checker's trials, its symbolic pointer encoding and the
+// benchmark's counterexample replay all rely on this allocator contract:
+// the first address is 64, pointer-argument buffers of
+// max(dereferenceable, 8) bytes are handed out in order at 8-byte
+// alignment, and the address space ends at 64 KiB.
+TEST(InterpTest, AllocatorContract) {
+  Memory Mem;
+  uint64_t Expected = Memory::FirstValidAddr;
+  EXPECT_EQ(Expected, 64u);
+  for (uint64_t Deref : {0, 4, 8, 12, 16, 1, 24}) {
+    uint64_t Bytes = std::max<uint64_t>(Deref, 8);
+    uint64_t Addr = Mem.allocate(Bytes, 8);
+    EXPECT_EQ(Addr, Expected) << "dereferenceable(" << Deref << ")";
+    EXPECT_EQ(Addr % 8, 0u);
+    EXPECT_TRUE(Mem.inBounds(Addr, Bytes));
+    EXPECT_FALSE(Mem.inBounds(Addr, Bytes + 1));
+    Expected = (Addr + Bytes + 7) / 8 * 8;
+  }
+
+  // An allocation that would end past 64 KiB gets 0 and bumps nothing;
+  // one that ends exactly there succeeds.
+  EXPECT_EQ(Memory::Size, 65536u);
+  EXPECT_EQ(Mem.allocate(Memory::Size - Expected + 1, 8), 0u);
+  EXPECT_EQ(Mem.allocate(Memory::Size - Expected, 8), Expected);
+  EXPECT_EQ(Mem.allocate(1, 1), 0u);
+  EXPECT_EQ(Mem.allocate(~0ull, 8), 0u);
+}
+
+TEST(InterpTest, AllocaPastAddressSpaceIsUB) {
+  // %n allocas of 512 bytes from address 64: 127 of them end at 65088,
+  // and the 128th would end past 64 KiB.
+  const char *IR = "define i8 @f(i32 %n) {\n"
+                   "entry:\n"
+                   "  br label %loop\n"
+                   "loop:\n"
+                   "  %i = phi i32 [ 0, %entry ], [ %j, %loop ]\n"
+                   "  %a = alloca <64 x i64>, align 8\n"
+                   "  %j = add i32 %i, 1\n"
+                   "  %c = icmp ult i32 %j, %n\n"
+                   "  br i1 %c, label %loop, label %done\n"
+                   "done:\n"
+                   "  ret i8 0\n}";
+  EXPECT_EQ(run(IR, {127}).R.Status, ExecStatus::Ok);
+  auto RR = run(IR, {128});
+  ASSERT_EQ(RR.R.Status, ExecStatus::UB);
+  EXPECT_EQ(RR.R.UBReason, "out of stack memory");
+}
+
+TEST(InterpTest, MemoryCloneKeepsByteState) {
+  Memory Mem;
+  uint64_t A = Mem.allocate(4, 4);
+  Mem.writeByte(A, 0xAB, /*Poison=*/false);
+  Mem.writeByte(A + 1, 0xCD, /*Poison=*/true);
+  Memory C = Mem.clone();
+  EXPECT_EQ(C.readByte(A), 0xAB);
+  EXPECT_TRUE(C.isInit(A));
+  EXPECT_FALSE(C.isPoison(A));
+  EXPECT_EQ(C.readByte(A + 1), 0xCD);
+  EXPECT_TRUE(C.isPoison(A + 1));
+  EXPECT_FALSE(C.isInit(A + 2));
+  EXPECT_TRUE(C.inBounds(A, 4));
+  // The copy is independent, and it continues the same allocation order.
+  C.writeByte(A + 2, 1, /*Poison=*/false);
+  EXPECT_FALSE(Mem.isInit(A + 2));
+  EXPECT_EQ(C.allocate(8, 8), Mem.allocate(8, 8));
+}
+
 TEST(InterpTest, PhiAndLoop) {
   // 10 iterations of acc += i.
   EXPECT_EQ(retInt(run(R"(define i32 @f(i32 %n) {

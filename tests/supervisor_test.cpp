@@ -117,6 +117,51 @@ TEST_F(SupervisorTest, FanoutMatchesThreadedDeterministicSection) {
             deterministicReportPart(Ref, Plain));
 }
 
+TEST_F(SupervisorTest, FanoutCrashMatchesInProcessDeterministicSection) {
+  // Every seed's pipeline SIGSEGVs. In-process, the signal guard contains
+  // each crash after the mutant was generated and the pipeline started;
+  // under -fanout the shard dies and the parent records the crash. The
+  // parent must account the mutant the same way — its mutations,
+  // per-family rows and the pipeline's per-pass tally — so that the
+  // deterministic sections are identical.
+  const char *Crash = R"(
+define i8 @crashme(i8 %x) {
+  %r = add i8 %x, 1
+  ret i8 %r
+}
+)";
+  FuzzOptions Plain;
+  Plain.Passes = "test-crash,dce";
+  Plain.Iterations = 3;
+  Plain.BaseSeed = 1;
+  Plain.Survival.SignalGuard = true;
+  CampaignEngine Ref(Plain, 1);
+  Ref.loadModule(parseOk(Crash));
+  Ref.run();
+  ASSERT_TRUE(Ref.configError().empty()) << Ref.configError();
+  ASSERT_EQ(Ref.stats().Crashes, 3u);
+  EXPECT_EQ(Ref.stats().MutantsGenerated, 3u);
+  EXPECT_EQ(Ref.stats().MutationsApplied, 7u);
+  EXPECT_EQ(Ref.registry().counterValue("pass.test-crash.invocations"), 3u);
+
+  for (unsigned Fanout : {1u, 3u}) {
+    FuzzOptions Fan = Plain;
+    Fan.Survival.SignalGuard = false; // the process boundary contains it
+    Fan.Survival.Fanout = Fanout;
+    Fan.Survival.RetryBaseDelay = 0.005;
+    Fan.Survival.RetryMaxDelay = 0.05;
+    CampaignEngine Engine(Fan, 1);
+    Engine.loadModule(parseOk(Crash));
+    Engine.run();
+    ASSERT_TRUE(Engine.configError().empty()) << Engine.configError();
+    EXPECT_FALSE(Engine.degraded());
+    EXPECT_EQ(Engine.stats().Crashes, 3u);
+    EXPECT_EQ(deterministicReportPart(Engine, Fan),
+              deterministicReportPart(Ref, Plain))
+        << "fanout " << Fanout;
+  }
+}
+
 TEST_F(SupervisorTest, InjectedChildKillIsReLeasedByteForByte) {
   // The acceptance scenario: SIGKILL one child mid-campaign. The lease
   // must be retried with backoff and the completed report must be

@@ -914,3 +914,143 @@ define i8 @tgt(i8 %x, i8 %y, i8 %z) {
   EXPECT_FALSE(T.Ret.anyPoison());
   EXPECT_NE(S.Ret.lane().Val, T.Ret.lane().Val);
 }
+
+//===----------------------------------------------------------------------===//
+// Opaque pointer arguments are proven symbolically under the concrete
+// trials' pointer model.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Checks that every pointer in \p R's counterexample is what a concrete
+/// trial would pass: null only without nonnull, otherwise the next
+/// allocate(max(dereferenceable, 8), 8) of a fresh Memory — the rule the
+/// benchmark's gate rebuilds counterexamples by.
+void expectAllocatorAddresses(const Function &Src, const TVResult &R) {
+  ASSERT_EQ(R.CounterExample.size(), Src.getNumArgs());
+  Memory Mem;
+  for (unsigned I = 0; I != Src.getNumArgs(); ++I) {
+    if (!Src.getArg(I)->getType()->isPointerTy())
+      continue;
+    const Lane &P = R.CounterExample[I].lane();
+    EXPECT_FALSE(P.Poison);
+    uint64_t Addr = P.Val.getZExtValue();
+    if (Addr == 0) {
+      EXPECT_FALSE(Src.paramAttrs(I).NonNull);
+      continue;
+    }
+    EXPECT_EQ(Addr,
+              Mem.allocate(
+                  std::max<uint64_t>(Src.paramAttrs(I).Dereferenceable, 8),
+                  8));
+  }
+}
+
+/// Options with no concrete trials, so that an Incorrect verdict comes
+/// from the solver's model and its replay, never from the concrete
+/// fallback an unconfirmed model takes.
+TVOptions symbolicOnly() {
+  TVOptions Opts;
+  Opts.ExhaustiveBits = 0;
+  Opts.ConcreteTrials = 0;
+  return Opts;
+}
+
+} // namespace
+
+// An unused pointer argument used to send this pair to 48 sampled trials,
+// which missed the one bad input and reported "correct". The symbolic
+// path finds it.
+TEST(TVTest, UnusedPointerArgumentDoesNotHideMiscompile) {
+  const std::string IR = R"(
+define i32 @src(ptr dereferenceable(8) %p, i32 %x) {
+  ret i32 %x
+}
+define i32 @tgt(ptr dereferenceable(8) %p, i32 %x) {
+  %c = icmp eq i32 %x, 12345
+  %r = select i1 %c, i32 0, i32 %x
+  ret i32 %r
+}
+)";
+  TVResult R = check(IR, symbolicOnly());
+  ASSERT_EQ(R.Verdict, TVVerdict::Incorrect) << R.Detail;
+  ASSERT_EQ(R.CounterExample.size(), 2u);
+  EXPECT_EQ(R.CounterExample[0].lane().Val.getZExtValue(), 64u);
+  EXPECT_EQ(R.CounterExample[1].lane().Val.getZExtValue(), 12345u);
+  std::string Err;
+  auto M = parseModule(IR, Err);
+  ASSERT_NE(M, nullptr) << Err;
+  expectAllocatorAddresses(*M->getFunction("src"), R);
+  ExecResult S = replay(IR, "src", R.CounterExample);
+  ExecResult T = replay(IR, "tgt", R.CounterExample);
+  ASSERT_EQ(S.Status, ExecStatus::Ok);
+  ASSERT_EQ(T.Status, ExecStatus::Ok);
+  EXPECT_NE(S.Ret.lane().Val, T.Ret.lane().Val);
+}
+
+// A source that is UB on every input is refined by anything. With an
+// unused pointer argument this used to be "inconclusive" (every trial
+// vacuous) while the integer-only twin was proven; both are now proven.
+TEST(TVTest, AlwaysUBSourceVerdictIgnoresUnusedPointer) {
+  TVResult Plain = check(R"(
+define i1 @src(i1 %x) {
+  %d = sdiv i1 -1, 0
+  ret i1 %d
+}
+define i1 @tgt(i1 %x) {
+  ret i1 true
+}
+)");
+  TVResult WithPtr = check(R"(
+define i1 @src(ptr %p, i1 %x) {
+  %d = sdiv i1 -1, 0
+  ret i1 %d
+}
+define i1 @tgt(ptr %p, i1 %x) {
+  ret i1 true
+}
+)");
+  EXPECT_EQ(Plain.Verdict, TVVerdict::Correct) << Plain.Detail;
+  EXPECT_EQ(WithPtr.Verdict, Plain.Verdict) << WithPtr.Detail;
+  EXPECT_EQ(WithPtr.Detail, Plain.Detail);
+  EXPECT_FALSE(WithPtr.UsedConcretePath);
+}
+
+// Null is a real input for a pointer without nonnull, and
+// dereferenceable does not exclude it (as in the concrete trials): the
+// counterexample passes null and still replays under the allocator rule.
+TEST(TVTest, NullablePointerComparisonCounterexampleReplays) {
+  const std::string IR = R"(
+define i1 @src(ptr dereferenceable(4) %p, ptr dereferenceable(16) %q) {
+  %c = icmp ult ptr %p, %q
+  ret i1 %c
+}
+define i1 @tgt(ptr dereferenceable(4) %p, ptr dereferenceable(16) %q) {
+  ret i1 true
+}
+)";
+  TVResult R = check(IR, symbolicOnly());
+  ASSERT_EQ(R.Verdict, TVVerdict::Incorrect) << R.Detail;
+  std::string Err;
+  auto M = parseModule(IR, Err);
+  ASSERT_NE(M, nullptr) << Err;
+  expectAllocatorAddresses(*M->getFunction("src"), R);
+  // Only a null %q makes %p < %q false.
+  EXPECT_EQ(R.CounterExample[1].lane().Val.getZExtValue(), 0u);
+  ExecResult S = replay(IR, "src", R.CounterExample);
+  ASSERT_EQ(S.Status, ExecStatus::Ok);
+  EXPECT_TRUE(S.Ret.lane().Val.isZero());
+
+  // With both pointers nonnull, %p's buffer always precedes %q's.
+  TVResult N = check(R"(
+define i1 @src(ptr nonnull dereferenceable(4) %p, ptr nonnull %q) {
+  %c = icmp ult ptr %p, %q
+  ret i1 %c
+}
+define i1 @tgt(ptr nonnull dereferenceable(4) %p, ptr nonnull %q) {
+  ret i1 true
+}
+)");
+  EXPECT_EQ(N.Verdict, TVVerdict::Correct) << N.Detail;
+  EXPECT_FALSE(N.UsedConcretePath);
+}
