@@ -619,7 +619,7 @@ ExecResult Interpreter::runFrame(const Function &F,
         APInt Offset = Idx.Val.sextOrTrunc(PtrBits) * APInt(PtrBits, Scale);
         APInt NewPtr = P.Val + Offset;
         if (G->isInBounds()) {
-          uint64_t Base, Len;
+          uint64_t Base = 0, Len = 0;
           bool Known =
               Mem.findAllocation(P.Val.getZExtValue(), Base, Len);
           uint64_t NP = NewPtr.getZExtValue();

@@ -51,7 +51,7 @@ public:
       // genuine elapsed time rather than an empty loop.
       volatile uint64_t Sink = 0;
       for (uint64_t I = 0; I != ChunkSteps; ++I)
-        Sink += I * 2654435761u;
+        Sink = Sink + I * 2654435761u;
     }
     return false;
   }

@@ -539,7 +539,6 @@ bool ParserImpl::parseBody() {
 bool ParserImpl::parseInstruction(const std::string &ResultName) {
   TypeContext &TC = M->getTypes();
   Type *VoidTy = TC.getVoidTy();
-  Instruction *Inst = nullptr;
 
   eatWord("tail"); // 'tail call' is accepted and ignored
 

@@ -93,48 +93,55 @@ void SatSolver::heapRebuild() {
     heapSiftDown(I);
 }
 
-void SatSolver::addClause(const std::vector<Lit> &Literals) {
+unsigned SatSolver::attachClause(std::span<const Lit> Lits) {
+  assert(Lits.size() >= 2 && "units are enqueued, not stored");
+  Clauses.push_back({(uint32_t)Arena.size(), (uint32_t)Lits.size()});
+  Arena.insert(Arena.end(), Lits.begin(), Lits.end());
+  unsigned Idx = (unsigned)Clauses.size() - 1;
+  Watches[watchIndex(-Lits[0])].push_back({Idx, Lits[1]});
+  Watches[watchIndex(-Lits[1])].push_back({Idx, Lits[0]});
+  return Idx;
+}
+
+void SatSolver::addClause(std::span<const Lit> Literals) {
   assert(TrailLimits.empty() && "clauses must be added at decision level 0");
   if (Unsatisfiable)
     return;
 
   // Simplify: drop duplicate/false literals, detect tautologies and
   // already-satisfied clauses.
-  std::vector<Lit> Ls = Literals;
+  std::vector<Lit> &Ls = Scratch;
+  Ls.assign(Literals.begin(), Literals.end());
   std::sort(Ls.begin(), Ls.end(),
             [](Lit A, Lit B) { return std::abs(A) < std::abs(B) ||
                                       (std::abs(A) == std::abs(B) && A < B); });
-  std::vector<Lit> Clean;
+  size_t N = 0;
   for (Lit L : Ls) {
     assert(std::abs(L) >= 1 && std::abs(L) < (int)Assign.size() &&
            "literal for unknown variable");
-    if (!Clean.empty() && Clean.back() == L)
+    if (N && Ls[N - 1] == L)
       continue;
-    if (!Clean.empty() && Clean.back() == -L)
+    if (N && Ls[N - 1] == -L)
       return; // tautology
     if (valueOf(L) == 1)
       return; // already satisfied at level 0
     if (valueOf(L) == 0)
       continue; // already false at level 0
-    Clean.push_back(L);
+    Ls[N++] = L;
   }
 
-  if (Clean.empty()) {
+  if (N == 0) {
     Unsatisfiable = true;
     return;
   }
-  if (Clean.size() == 1) {
-    if (valueOf(Clean[0]) == Undef)
-      enqueue(Clean[0], -1);
+  if (N == 1) {
+    if (valueOf(Ls[0]) == Undef)
+      enqueue(Ls[0], -1);
     if (propagate() != -1)
       Unsatisfiable = true;
     return;
   }
-
-  Clauses.push_back({Clean, /*Learned=*/false});
-  unsigned Idx = (unsigned)Clauses.size() - 1;
-  Watches[watchIndex(-Clean[0])].push_back({Idx, Clean[1]});
-  Watches[watchIndex(-Clean[1])].push_back({Idx, Clean[0]});
+  attachClause({Ls.data(), N});
 }
 
 void SatSolver::enqueue(Lit L, int ReasonClause) {
@@ -159,22 +166,22 @@ int SatSolver::propagate() {
         WL[Keep++] = W;
         continue;
       }
-      Clause &C = Clauses[W.ClauseIdx];
+      const Clause &C = Clauses[W.ClauseIdx];
+      Lit *Lits = lits(C);
       // Normalize: the false literal (-P) goes to position 1.
-      if (C.Lits[0] == -P)
-        std::swap(C.Lits[0], C.Lits[1]);
-      assert(C.Lits[1] == -P);
-      if (valueOf(C.Lits[0]) == 1) {
-        WL[Keep++] = {W.ClauseIdx, C.Lits[0]};
+      if (Lits[0] == -P)
+        std::swap(Lits[0], Lits[1]);
+      assert(Lits[1] == -P);
+      if (valueOf(Lits[0]) == 1) {
+        WL[Keep++] = {W.ClauseIdx, Lits[0]};
         continue;
       }
       // Search for a non-false literal to watch.
       bool FoundWatch = false;
-      for (size_t K = 2; K != C.Lits.size(); ++K) {
-        if (valueOf(C.Lits[K]) != 0) {
-          std::swap(C.Lits[1], C.Lits[K]);
-          Watches[watchIndex(-C.Lits[1])].push_back(
-              {W.ClauseIdx, C.Lits[0]});
+      for (size_t K = 2; K != C.Size; ++K) {
+        if (valueOf(Lits[K]) != 0) {
+          std::swap(Lits[1], Lits[K]);
+          Watches[watchIndex(-Lits[1])].push_back({W.ClauseIdx, Lits[0]});
           FoundWatch = true;
           break;
         }
@@ -183,7 +190,7 @@ int SatSolver::propagate() {
         continue;
       // Unit or conflicting.
       WL[Keep++] = W;
-      if (valueOf(C.Lits[0]) == 0) {
+      if (valueOf(Lits[0]) == 0) {
         // Conflict: restore untouched watchers and report.
         for (size_t K = I + 1; K != WL.size(); ++K)
           WL[Keep++] = WL[K];
@@ -191,7 +198,7 @@ int SatSolver::propagate() {
         PropHead = Trail.size();
         return (int)W.ClauseIdx;
       }
-      enqueue(C.Lits[0], (int)W.ClauseIdx);
+      enqueue(Lits[0], (int)W.ClauseIdx);
     }
     WL.resize(Keep);
   }
@@ -229,9 +236,10 @@ void SatSolver::analyze(int ConflictClause, std::vector<Lit> &Learnt,
 
   do {
     assert(ClauseIdx != -1 && "reason missing during conflict analysis");
-    Clause &C = Clauses[ClauseIdx];
-    for (size_t K = (P == 0 ? 0 : 1); K != C.Lits.size(); ++K) {
-      Lit Q = C.Lits[K];
+    const Clause &C = Clauses[ClauseIdx];
+    const Lit *Lits = lits(C);
+    for (size_t K = (P == 0 ? 0 : 1); K != C.Size; ++K) {
+      Lit Q = Lits[K];
       int V = std::abs(Q);
       if (Seen[V] || Level[V] == 0)
         continue;
@@ -345,7 +353,7 @@ SatSolver::Result SatSolver::solve(uint64_t ConflictBudget,
         return Result::Unknown;
       }
 
-      std::vector<Lit> Learnt;
+      std::vector<Lit> &Learnt = Scratch;
       int BTLevel;
       analyze(Conflict, Learnt, BTLevel);
       backtrack(BTLevel);
@@ -354,10 +362,7 @@ SatSolver::Result SatSolver::solve(uint64_t ConflictBudget,
       if (Learnt.size() == 1) {
         enqueue(Learnt[0], -1);
       } else {
-        Clauses.push_back({Learnt, /*Learned=*/true});
-        unsigned Idx = (unsigned)Clauses.size() - 1;
-        Watches[watchIndex(-Learnt[0])].push_back({Idx, Learnt[1]});
-        Watches[watchIndex(-Learnt[1])].push_back({Idx, Learnt[0]});
+        unsigned Idx = attachClause(Learnt);
         ++Statistics.LearnedClauses;
         enqueue(Learnt[0], (int)Idx);
       }

@@ -17,6 +17,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace alive {
@@ -66,12 +67,17 @@ public:
   int numVars() const { return (int)Assign.size() - 1; }
 
   /// Adds a clause (disjunction of literals). An empty clause makes the
-  /// instance trivially unsatisfiable.
-  void addClause(const std::vector<Lit> &Literals);
-  void addClause(Lit A) { addClause(std::vector<Lit>{A}); }
-  void addClause(Lit A, Lit B) { addClause(std::vector<Lit>{A, B}); }
+  /// instance trivially unsatisfiable. Allocates nothing per clause: the
+  /// literals are simplified in a reused buffer and land in the arena.
+  void addClause(std::span<const Lit> Literals);
+  void addClause(Lit A) { addClause(std::span<const Lit>(&A, 1)); }
+  void addClause(Lit A, Lit B) {
+    Lit Ls[] = {A, B};
+    addClause(Ls);
+  }
   void addClause(Lit A, Lit B, Lit C) {
-    addClause(std::vector<Lit>{A, B, C});
+    Lit Ls[] = {A, B, C};
+    addClause(Ls);
   }
 
   /// Solves the current formula. \p ConflictBudget bounds the search
@@ -93,10 +99,11 @@ public:
 
 private:
   enum : uint8_t { Undef = 2 };
+  /// A clause's literals: Arena[Start, Start + Size). Watched literals sit
+  /// at positions 0 and 1.
   struct Clause {
-    std::vector<Lit> Lits;
-    bool Learned;
-    double Activity = 0;
+    uint32_t Start;
+    uint32_t Size;
   };
   struct Watcher {
     unsigned ClauseIdx;
@@ -114,6 +121,10 @@ private:
       return Undef;
     return (L > 0) == (A == 1) ? 1 : 0;
   }
+  Lit *lits(const Clause &C) { return Arena.data() + C.Start; }
+  /// Stores a clause of two or more literals and watches its first two.
+  /// \returns its index.
+  unsigned attachClause(std::span<const Lit> Lits);
   void enqueue(Lit L, int ReasonClause);
   /// Propagates; \returns conflicting clause index or -1.
   int propagate();
@@ -134,6 +145,8 @@ private:
   size_t PropHead = 0;
 
   std::vector<Clause> Clauses;
+  /// Every clause's literals, original and learned, back to back.
+  std::vector<Lit> Arena;
   std::vector<std::vector<Watcher>> Watches; // indexed by watchIndex
   bool Unsatisfiable = false;
 
@@ -159,8 +172,9 @@ private:
   std::vector<int> Heap;    // heap array of variable indices
   std::vector<int> HeapPos; // var -> position in Heap, -1 when absent
 
-  // Scratch for analyze().
+  // Scratch for analyze(), and for addClause() and solve()'s learnt clause.
   std::vector<uint8_t> Seen;
+  std::vector<Lit> Scratch;
 
   Stats Statistics;
   Stop LastStop = Stop::None;

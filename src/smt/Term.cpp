@@ -56,31 +56,142 @@ TermRef TermBuilder::mkConst(const APInt &V) {
   return intern(std::move(T));
 }
 
-TermRef TermBuilder::mkBinary(TermKind Kind, TermRef A, TermRef B) {
+APInt alive::evaluateKind(TermKind Kind, unsigned Width,
+                          std::span<const APInt> V) {
+  assert(Kind != TermKind::Var && Kind != TermKind::Const &&
+         "leaves have no operator");
+  auto ShiftOut = [&] { return V[1].uge(APInt(Width, Width)); };
+  switch (Kind) {
+  case TermKind::And:
+    return V[0] & V[1];
+  case TermKind::Or:
+    return V[0] | V[1];
+  case TermKind::Xor:
+    return V[0] ^ V[1];
+  case TermKind::Not:
+    return ~V[0];
+  case TermKind::Add:
+    return V[0] + V[1];
+  case TermKind::Sub:
+    return V[0] - V[1];
+  case TermKind::Mul:
+    return V[0] * V[1];
+  case TermKind::UDiv:
+    return V[1].isZero() ? APInt::getZero(Width) : V[0].udiv(V[1]);
+  case TermKind::URem:
+    return V[1].isZero() ? V[0] : V[0].urem(V[1]);
+  case TermKind::SDiv:
+    // APInt::sdiv wraps INT_MIN / -1 back to INT_MIN, as the circuit does.
+    return V[1].isZero() ? APInt::getZero(Width) : V[0].sdiv(V[1]);
+  case TermKind::SRem:
+    return V[1].isZero() ? V[0] : V[0].srem(V[1]);
+  case TermKind::Shl:
+    return ShiftOut() ? APInt::getZero(Width) : V[0].shl(V[1]);
+  case TermKind::LShr:
+    return ShiftOut() ? APInt::getZero(Width) : V[0].lshr(V[1]);
+  case TermKind::AShr:
+    if (ShiftOut())
+      return V[0].isNegative() ? APInt::getAllOnes(Width)
+                               : APInt::getZero(Width);
+    return V[0].ashr(V[1]);
+  case TermKind::Eq:
+    return APInt(1, V[0] == V[1]);
+  case TermKind::Ult:
+    return APInt(1, V[0].ult(V[1]));
+  case TermKind::Slt:
+    return APInt(1, V[0].slt(V[1]));
+  case TermKind::Ite:
+    return V[0].isZero() ? V[2] : V[1];
+  case TermKind::ZExt:
+    return V[0].zext(Width);
+  case TermKind::SExt:
+    return V[0].sext(Width);
+  case TermKind::Trunc:
+    return V[0].trunc(Width);
+  case TermKind::Var:
+  case TermKind::Const:
+    break;
+  }
+  return APInt::getZero(Width);
+}
+
+TermRef TermBuilder::mkNode(TermKind Kind, unsigned Width,
+                            std::initializer_list<TermRef> Ops) {
+  // Constant operands fold through the evaluator itself, so a folded term
+  // and an evaluated one can never disagree.
+  bool AllConst = true;
+  for (TermRef Op : Ops)
+    AllConst &= Op->isConst();
+  if (AllConst) {
+    APInt Vals[3];
+    unsigned N = 0;
+    for (TermRef Op : Ops)
+      Vals[N++] = Op->ConstVal;
+    return mkConst(evaluateKind(Kind, Width, {Vals, N}));
+  }
   Term T;
   T.Kind = Kind;
-  T.Width = A->Width;
-  T.Ops = {A, B};
+  T.Width = Width;
+  T.Ops = Ops;
   T.ConstVal = APInt::getZero(1);
   return intern(std::move(T));
 }
 
+TermRef TermBuilder::mkBinary(TermKind Kind, TermRef A, TermRef B) {
+  assert(A->Width == B->Width && "width mismatch");
+  return mkNode(Kind, A->Width, {A, B});
+}
+
 namespace {
-bool bothConst(TermRef A, TermRef B) { return A->isConst() && B->isConst(); }
+/// True when \p A is ~\p B or \p B is ~\p A, by term identity.
+bool complementary(TermRef A, TermRef B) {
+  return (A->Kind == TermKind::Not && A->Ops[0] == B) ||
+         (B->Kind == TermKind::Not && B->Ops[0] == A);
+}
 } // namespace
 
-#define MK_BIN(NAME, KIND, FOLD)                                              \
-  TermRef TermBuilder::NAME(TermRef A, TermRef B) {                           \
-    assert(A->Width == B->Width && "width mismatch");                         \
-    if (bothConst(A, B))                                                      \
-      return mkConst(FOLD);                                                   \
-    return mkBinary(TermKind::KIND, A, B);                                    \
-  }
+// Bitwise identities, bit by bit and so at every width. Each checks both
+// operand positions instead of ordering the operands, so the term built
+// (and with it the CNF) never depends on where a term was allocated.
 
-MK_BIN(mkAnd, And, A->ConstVal & B->ConstVal)
-MK_BIN(mkOr, Or, A->ConstVal | B->ConstVal)
-MK_BIN(mkXor, Xor, A->ConstVal ^ B->ConstVal)
-#undef MK_BIN
+TermRef TermBuilder::mkAnd(TermRef A, TermRef B) {
+  assert(A->Width == B->Width && "width mismatch");
+  if (A->isConstZero() || B->isConstOnes() || A == B)
+    return A;
+  if (B->isConstZero() || A->isConstOnes())
+    return B;
+  if (complementary(A, B))
+    return mkConst(APInt::getZero(A->Width));
+  return mkBinary(TermKind::And, A, B);
+}
+
+TermRef TermBuilder::mkOr(TermRef A, TermRef B) {
+  assert(A->Width == B->Width && "width mismatch");
+  if (A->isConstOnes() || B->isConstZero() || A == B)
+    return A;
+  if (B->isConstOnes() || A->isConstZero())
+    return B;
+  if (complementary(A, B))
+    return mkConst(APInt::getAllOnes(A->Width));
+  return mkBinary(TermKind::Or, A, B);
+}
+
+TermRef TermBuilder::mkXor(TermRef A, TermRef B) {
+  assert(A->Width == B->Width && "width mismatch");
+  if (B->isConstZero())
+    return A;
+  if (A->isConstZero())
+    return B;
+  if (B->isConstOnes())
+    return mkNot(A);
+  if (A->isConstOnes())
+    return mkNot(B);
+  if (A == B)
+    return mkConst(APInt::getZero(A->Width));
+  if (complementary(A, B))
+    return mkConst(APInt::getAllOnes(A->Width));
+  return mkBinary(TermKind::Xor, A, B);
+}
 
 // Division-by-divisor rewrites. A lowering of a - (a/b)*b to a % b leaves
 // the solver to prove a restoring divider and a multiplier consistent,
@@ -93,8 +204,6 @@ MK_BIN(mkXor, Xor, A->ConstVal ^ B->ConstVal)
 
 TermRef TermBuilder::mkAdd(TermRef A, TermRef B) {
   assert(A->Width == B->Width && "width mismatch");
-  if (bothConst(A, B))
-    return mkConst(A->ConstVal + B->ConstVal);
   // (a - c) + c == a, in either operand order.
   if (A->Kind == TermKind::Sub && A->Ops[1] == B)
     return A->Ops[0];
@@ -105,8 +214,6 @@ TermRef TermBuilder::mkAdd(TermRef A, TermRef B) {
 
 TermRef TermBuilder::mkSub(TermRef A, TermRef B) {
   assert(A->Width == B->Width && "width mismatch");
-  if (bothConst(A, B))
-    return mkConst(A->ConstVal - B->ConstVal);
   // a - (a - c) == c.
   if (B->Kind == TermKind::Sub && B->Ops[0] == A)
     return B->Ops[1];
@@ -115,8 +222,6 @@ TermRef TermBuilder::mkSub(TermRef A, TermRef B) {
 
 TermRef TermBuilder::mkMul(TermRef A, TermRef B) {
   assert(A->Width == B->Width && "width mismatch");
-  if (bothConst(A, B))
-    return mkConst(A->ConstVal * B->ConstVal);
   // (a udiv b) * b == a - (a urem b), and the sdiv/srem mirror, with the
   // quotient on either side.
   for (auto [Q, D] : {std::pair{A, B}, std::pair{B, A}}) {
@@ -129,83 +234,56 @@ TermRef TermBuilder::mkMul(TermRef A, TermRef B) {
   return mkBinary(TermKind::Mul, A, B);
 }
 
-#define MK_BIN_NOFOLD(NAME, KIND)                                             \
-  TermRef TermBuilder::NAME(TermRef A, TermRef B) {                           \
-    assert(A->Width == B->Width && "width mismatch");                         \
-    return mkBinary(TermKind::KIND, A, B);                                    \
-  }
-
 TermRef TermBuilder::mkUDiv(TermRef A, TermRef B) {
-  assert(A->Width == B->Width && "width mismatch");
-  if (bothConst(A, B) && !B->ConstVal.isZero())
-    return mkConst(A->ConstVal.udiv(B->ConstVal));
   return mkBinary(TermKind::UDiv, A, B);
 }
-
 TermRef TermBuilder::mkURem(TermRef A, TermRef B) {
-  assert(A->Width == B->Width && "width mismatch");
-  if (bothConst(A, B) && !B->ConstVal.isZero())
-    return mkConst(A->ConstVal.urem(B->ConstVal));
   return mkBinary(TermKind::URem, A, B);
 }
-
-MK_BIN_NOFOLD(mkSDiv, SDiv)
-MK_BIN_NOFOLD(mkSRem, SRem)
-MK_BIN_NOFOLD(mkShl, Shl)
-MK_BIN_NOFOLD(mkLShr, LShr)
-MK_BIN_NOFOLD(mkAShr, AShr)
-#undef MK_BIN_NOFOLD
+TermRef TermBuilder::mkSDiv(TermRef A, TermRef B) {
+  return mkBinary(TermKind::SDiv, A, B);
+}
+TermRef TermBuilder::mkSRem(TermRef A, TermRef B) {
+  return mkBinary(TermKind::SRem, A, B);
+}
+TermRef TermBuilder::mkShl(TermRef A, TermRef B) {
+  return mkBinary(TermKind::Shl, A, B);
+}
+TermRef TermBuilder::mkLShr(TermRef A, TermRef B) {
+  return mkBinary(TermKind::LShr, A, B);
+}
+TermRef TermBuilder::mkAShr(TermRef A, TermRef B) {
+  return mkBinary(TermKind::AShr, A, B);
+}
 
 TermRef TermBuilder::mkNot(TermRef A) {
-  if (A->isConst())
-    return mkConst(~A->ConstVal);
   // Involution: not(not(x)) == x.
   if (A->Kind == TermKind::Not)
     return A->Ops[0];
-  Term T;
-  T.Kind = TermKind::Not;
-  T.Width = A->Width;
-  T.Ops = {A};
-  T.ConstVal = APInt::getZero(1);
-  return intern(std::move(T));
+  return mkNode(TermKind::Not, A->Width, {A});
 }
 
 TermRef TermBuilder::mkEq(TermRef A, TermRef B) {
   assert(A->Width == B->Width && "width mismatch");
   if (A == B)
     return mkTrue();
-  if (bothConst(A, B))
-    return mkBool(A->ConstVal == B->ConstVal);
-  Term T;
-  T.Kind = TermKind::Eq;
-  T.Width = 1;
-  T.Ops = {A, B};
-  T.ConstVal = APInt::getZero(1);
-  return intern(std::move(T));
+  return mkNode(TermKind::Eq, 1, {A, B});
 }
+
+// Strict orders are irreflexive: x < x is false, signed or not.
 
 TermRef TermBuilder::mkUlt(TermRef A, TermRef B) {
   assert(A->Width == B->Width && "width mismatch");
-  if (bothConst(A, B))
-    return mkBool(A->ConstVal.ult(B->ConstVal));
-  Term T;
-  T.Kind = TermKind::Ult;
-  T.Width = 1;
-  T.Ops = {A, B};
-  T.ConstVal = APInt::getZero(1);
-  return intern(std::move(T));
+  if (A == B)
+    return mkFalse();
+  return mkNode(TermKind::Ult, 1, {A, B});
 }
 
 TermRef TermBuilder::mkSlt(TermRef A, TermRef B) {
   assert(A->Width == B->Width && "width mismatch");
-  if (bothConst(A, B))
-    return mkBool(A->ConstVal.slt(B->ConstVal));
-  Term T;
-  T.Kind = TermKind::Slt;
-  T.Width = 1;
-  T.Ops = {A, B};
-  T.ConstVal = APInt::getZero(1);
-  return intern(std::move(T));
+  if (A == B)
+    return mkFalse();
+  return mkNode(TermKind::Slt, 1, {A, B});
 }
 
 TermRef TermBuilder::mkIte(TermRef C, TermRef T, TermRef E) {
@@ -215,54 +293,22 @@ TermRef TermBuilder::mkIte(TermRef C, TermRef T, TermRef E) {
     return C->ConstVal.isZero() ? E : T;
   if (T == E)
     return T;
-  Term N;
-  N.Kind = TermKind::Ite;
-  N.Width = T->Width;
-  N.Ops = {C, T, E};
-  N.ConstVal = APInt::getZero(1);
-  return intern(std::move(N));
+  return mkNode(TermKind::Ite, T->Width, {C, T, E});
 }
 
 TermRef TermBuilder::mkZExt(TermRef A, unsigned Width) {
   assert(Width >= A->Width);
-  if (Width == A->Width)
-    return A;
-  if (A->isConst())
-    return mkConst(A->ConstVal.zext(Width));
-  Term T;
-  T.Kind = TermKind::ZExt;
-  T.Width = Width;
-  T.Ops = {A};
-  T.ConstVal = APInt::getZero(1);
-  return intern(std::move(T));
+  return Width == A->Width ? A : mkNode(TermKind::ZExt, Width, {A});
 }
 
 TermRef TermBuilder::mkSExt(TermRef A, unsigned Width) {
   assert(Width >= A->Width);
-  if (Width == A->Width)
-    return A;
-  if (A->isConst())
-    return mkConst(A->ConstVal.sext(Width));
-  Term T;
-  T.Kind = TermKind::SExt;
-  T.Width = Width;
-  T.Ops = {A};
-  T.ConstVal = APInt::getZero(1);
-  return intern(std::move(T));
+  return Width == A->Width ? A : mkNode(TermKind::SExt, Width, {A});
 }
 
 TermRef TermBuilder::mkTrunc(TermRef A, unsigned Width) {
   assert(Width <= A->Width);
-  if (Width == A->Width)
-    return A;
-  if (A->isConst())
-    return mkConst(A->ConstVal.trunc(Width));
-  Term T;
-  T.Kind = TermKind::Trunc;
-  T.Width = Width;
-  T.Ops = {A};
-  T.ConstVal = APInt::getZero(1);
-  return intern(std::move(T));
+  return Width == A->Width ? A : mkNode(TermKind::Trunc, Width, {A});
 }
 
 unsigned alive::knownLeadingZeros(TermRef T) {
@@ -328,88 +374,18 @@ APInt TermBuilder::evaluate(TermRef Root,
       continue;
     Stack.pop_back();
 
-    auto Val = [&](unsigned I) { return Memo.at(T->Ops[I]); };
-    APInt R = APInt::getZero(T->Width);
-    switch (T->Kind) {
-    case TermKind::Var: {
+    APInt R;
+    if (T->Kind == TermKind::Var) {
       auto It = VarAssign.find(T->VarId);
       R = It != VarAssign.end() ? It->second : APInt::getZero(T->Width);
       assert(R.getBitWidth() == T->Width && "assignment width mismatch");
-      break;
-    }
-    case TermKind::Const:
+    } else if (T->Kind == TermKind::Const) {
       R = T->ConstVal;
-      break;
-    case TermKind::And:
-      R = Val(0) & Val(1);
-      break;
-    case TermKind::Or:
-      R = Val(0) | Val(1);
-      break;
-    case TermKind::Xor:
-      R = Val(0) ^ Val(1);
-      break;
-    case TermKind::Not:
-      R = ~Val(0);
-      break;
-    case TermKind::Add:
-      R = Val(0) + Val(1);
-      break;
-    case TermKind::Sub:
-      R = Val(0) - Val(1);
-      break;
-    case TermKind::Mul:
-      R = Val(0) * Val(1);
-      break;
-    case TermKind::UDiv:
-      R = Val(1).isZero() ? APInt::getZero(T->Width) : Val(0).udiv(Val(1));
-      break;
-    case TermKind::URem:
-      R = Val(1).isZero() ? Val(0) : Val(0).urem(Val(1));
-      break;
-    case TermKind::SDiv:
-      R = Val(1).isZero() ? APInt::getZero(T->Width) : Val(0).sdiv(Val(1));
-      break;
-    case TermKind::SRem:
-      R = Val(1).isZero() ? Val(0) : Val(0).srem(Val(1));
-      break;
-    case TermKind::Shl:
-      R = Val(1).uge(APInt(T->Width, T->Width)) ? APInt::getZero(T->Width)
-                                                : Val(0).shl(Val(1));
-      break;
-    case TermKind::LShr:
-      R = Val(1).uge(APInt(T->Width, T->Width)) ? APInt::getZero(T->Width)
-                                                : Val(0).lshr(Val(1));
-      break;
-    case TermKind::AShr: {
-      if (Val(1).uge(APInt(T->Width, T->Width)))
-        R = Val(0).isNegative() ? APInt::getAllOnes(T->Width)
-                                : APInt::getZero(T->Width);
-      else
-        R = Val(0).ashr(Val(1));
-      break;
-    }
-    case TermKind::Eq:
-      R = APInt(1, Val(0) == Val(1));
-      break;
-    case TermKind::Ult:
-      R = APInt(1, Val(0).ult(Val(1)));
-      break;
-    case TermKind::Slt:
-      R = APInt(1, Val(0).slt(Val(1)));
-      break;
-    case TermKind::Ite:
-      R = Val(0).isZero() ? Val(2) : Val(1);
-      break;
-    case TermKind::ZExt:
-      R = Val(0).zext(T->Width);
-      break;
-    case TermKind::SExt:
-      R = Val(0).sext(T->Width);
-      break;
-    case TermKind::Trunc:
-      R = Val(0).trunc(T->Width);
-      break;
+    } else {
+      APInt Vals[3];
+      for (size_t I = 0; I != T->Ops.size(); ++I)
+        Vals[I] = Memo.at(T->Ops[I]);
+      R = evaluateKind(T->Kind, T->Width, {Vals, T->Ops.size()});
     }
     Memo.emplace(T, R);
   }

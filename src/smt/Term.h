@@ -18,8 +18,10 @@
 
 #include "support/APInt.h"
 
+#include <initializer_list>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -74,8 +76,20 @@ struct Term {
 
 using TermRef = const Term *;
 
+/// The value of an operator node of \p Kind and \p Width over its operand
+/// values \p Ops, under the total convention (divisor 0: quotient 0,
+/// remainder the dividend; INT_MIN sdiv -1 wraps; a shift by W or more
+/// gives 0, or the sign fill for ashr). TermBuilder's constant folding and
+/// TermBuilder::evaluate both call it, so the two cannot disagree.
+APInt evaluateKind(TermKind Kind, unsigned Width, std::span<const APInt> Ops);
+
 /// Owns terms and interns them structurally. All terms from one builder
 /// share its lifetime.
+///
+/// Every mk* folds a node whose operands are all constants, and the
+/// bitwise ones apply the identities x&0, x&~0, x&x, x&~x and their |, ^
+/// duals (x and ~x matched by term identity); x <u x and x <s x are
+/// false. So a node of the requested kind is not always what comes back.
 class TermBuilder {
 public:
   TermBuilder() = default;
@@ -126,14 +140,18 @@ public:
   unsigned numVars() const { return NextVarId; }
 
   /// Concretely evaluates \p T under an assignment of variable ids to
-  /// values. Division by zero yields 0 (matching the "total" convention;
-  /// callers guard real division UB with separate wires).
+  /// values, with evaluateKind's total convention (callers guard real
+  /// division UB with separate wires).
   APInt evaluate(TermRef T,
                  const std::map<unsigned, APInt> &VarAssign) const;
 
 private:
   TermRef intern(Term &&T);
-  /// Interns Kind(A, B) of A's width, with no folding or rewriting.
+  /// Kind(Ops) of \p Width: folded to a constant when every operand is
+  /// one, interned as is otherwise.
+  TermRef mkNode(TermKind Kind, unsigned Width,
+                 std::initializer_list<TermRef> Ops);
+  /// mkNode(Kind, A's width, {A, B}).
   TermRef mkBinary(TermKind Kind, TermRef A, TermRef B);
 
   struct Key {

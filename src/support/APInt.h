@@ -114,8 +114,8 @@ public:
       unsigned Shift = 64 - BitWidth;
       return (int64_t)(Lo << Shift) >> Shift;
     }
-    assert((Hi == 0 && !(Lo >> 63)) ||
-           (Hi == ~0ULL && (Lo >> 63)) && "value does not fit in 64 bits");
+    assert(((Hi == 0 && !(Lo >> 63)) || (Hi == ~0ULL && (Lo >> 63))) &&
+           "value does not fit in 64 bits");
     return (int64_t)Lo;
   }
 

@@ -10,6 +10,7 @@
 #include "ir/Interpreter.h"
 
 #include <set>
+#include <unordered_set>
 
 using namespace alive;
 
@@ -657,4 +658,62 @@ EncodedFunction FunctionEncoder::encode(const Function &F,
   Out.RetVal = IsVoid ? nullptr : RetVal;
   Out.RetPoison = IsVoid ? nullptr : RetPoison;
   return Out;
+}
+
+namespace {
+
+/// The leaves of the OR tree \p T that are not yet in \p Seen, left to
+/// right; adds them to \p Seen.
+std::vector<TermRef> collectDisjuncts(TermRef T,
+                                      std::unordered_set<TermRef> &Seen) {
+  std::vector<TermRef> Out, Stack{T};
+  while (!Stack.empty()) {
+    TermRef D = Stack.back();
+    Stack.pop_back();
+    if (D->Kind == TermKind::Or) {
+      Stack.push_back(D->Ops[1]);
+      Stack.push_back(D->Ops[0]);
+    } else if (Seen.insert(D).second) {
+      Out.push_back(D);
+    }
+  }
+  return Out;
+}
+
+/// \p T without the OR-disjuncts in \p Known: the disjunction of the rest,
+/// in their order, or \p T itself when none is known. Terms are matched by
+/// identity, so the result never depends on where a term was allocated.
+TermRef dropKnownDisjuncts(TermBuilder &B, TermRef T,
+                           const std::unordered_set<TermRef> &Known) {
+  std::unordered_set<TermRef> Seen;
+  TermRef Rest = B.mkFalse();
+  bool Dropped = false;
+  for (TermRef D : collectDisjuncts(T, Seen)) {
+    if (Known.count(D))
+      Dropped = true;
+    else
+      Rest = B.mkOr(Rest, D);
+  }
+  return Dropped ? Rest : T;
+}
+
+} // namespace
+
+TermRef alive::refinementViolation(TermBuilder &B, const EncodedFunction &Src,
+                                   const EncodedFunction &Tgt) {
+  // Under "not Src.UB" every disjunct of Src.UB is false, and so is every
+  // disjunct of Src.RetPoison under "not Src.RetPoison": drop them from
+  // Tgt.UB and Tgt.RetPoison. The target shares most of them with the
+  // source (a noundef argument's poison, a division's zero divisor), and
+  // without them the violation often folds to false.
+  std::unordered_set<TermRef> Known;
+  collectDisjuncts(Src.UB, Known);
+  TermRef TgtUB = dropKnownDisjuncts(B, Tgt.UB, Known);
+  if (!Src.RetVal)
+    return B.mkAnd(B.mkNot(Src.UB), TgtUB);
+  collectDisjuncts(Src.RetPoison, Known);
+  TermRef ValueBad = B.mkOr(dropKnownDisjuncts(B, Tgt.RetPoison, Known),
+                            B.mkNe(Tgt.RetVal, Src.RetVal));
+  return B.mkAnd(B.mkNot(Src.UB),
+                 B.mkOr(TgtUB, B.mkAnd(B.mkNot(Src.RetPoison), ValueBad)));
 }

@@ -111,6 +111,20 @@ private:
   std::map<std::pair<TermRef, TermRef>, TermRef> FreezeVars;
 };
 
+/// The refinement miter over one encoder's \p Src and \p Tgt (shared
+/// arguments): a width-1 term that is true exactly on the inputs where the
+/// target fails to refine the source,
+///
+///   not Src.UB and (Tgt.UB or (not Src.RetPoison and
+///                              (Tgt.RetPoison or Tgt.RetVal != Src.RetVal)))
+///
+/// built without the disjuncts of Tgt.UB that are OR-disjuncts of Src.UB,
+/// and without those of Tgt.RetPoison that are OR-disjuncts of Src.UB or
+/// Src.RetPoison: the context makes them false. Disjuncts are matched by
+/// term identity.
+TermRef refinementViolation(TermBuilder &B, const EncodedFunction &Src,
+                            const EncodedFunction &Tgt);
+
 } // namespace alive
 
 #endif // TV_FUNCTIONENCODER_H

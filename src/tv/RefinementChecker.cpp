@@ -367,34 +367,39 @@ TVResult checkSymbolic(const Function &Src, const Function &Tgt,
   EncodedFunction S = Enc.encode(Src, Args);
   EncodedFunction T = Enc.encode(Tgt, Args);
 
-  // Violation condition:
-  //   not src.UB  AND  ( tgt.UB
-  //                      OR (not src.RetPoison AND
-  //                          (tgt.RetPoison OR tgt.RetVal != src.RetVal)))
-  TermRef Violation;
-  if (S.RetVal) {
-    TermRef ValueBad = B.mkOr(
-        T.RetPoison, B.mkNe(T.RetVal, S.RetVal));
-    Violation = B.mkAnd(
-        B.mkNot(S.UB),
-        B.mkOr(T.UB, B.mkAnd(B.mkNot(S.RetPoison), ValueBad)));
-  } else {
-    Violation = B.mkAnd(B.mkNot(S.UB), T.UB);
+  TermRef Violation = refinementViolation(B, S, T);
+
+  auto RecordTimes = [&] {
+    if (!Stats)
+      return;
+    Stats->histogram("tv.encode.seconds").record(Res.EncodeSeconds);
+    Stats->histogram("tv.blast.seconds").record(Res.BlastSeconds);
+    Stats->histogram("tv.solve.seconds").record(Res.SolveSeconds);
+  };
+  // Decided at the word level: no input violates refinement, and no SAT
+  // object is built.
+  if (Violation->isConstZero()) {
+    Res.EncodeSeconds = EncodeT.seconds();
+    RecordTimes();
+    if (Stats)
+      ++Stats->counter("tv.query.decided-before-sat", Volatility::Volatile);
+    Res.Verdict = TVVerdict::Correct;
+    Res.Detail = "refinement proven for all inputs";
+    return Res;
   }
 
+  Timer BlastT;
   SatSolver Solver;
   BitBlaster BB(Solver);
   BB.assertTrue(Violation);
+  Res.BlastSeconds = BlastT.seconds();
   Res.EncodeSeconds = EncodeT.seconds();
 
   Timer SolveT;
   SatSolver::Result R = Solver.solve(Opts.SolverConflictBudget, Opts.Token);
   Res.SolveSeconds = SolveT.seconds();
   Res.SolverStats = Solver.stats();
-  if (Stats) {
-    Stats->histogram("tv.encode.seconds").record(Res.EncodeSeconds);
-    Stats->histogram("tv.solve.seconds").record(Res.SolveSeconds);
-  }
+  RecordTimes();
 
   if (R == SatSolver::Result::Unsat) {
     Res.Verdict = TVVerdict::Correct;
@@ -585,8 +590,12 @@ TVResult alive::checkRefinement(const Function &Src, const Function &Tgt,
         // symbolic proof, which also handles the cancelled case.
       }
       TVResult R = instrumentedSymbolic(Src, Tgt, Opts, Stats);
-      // Solver budget exhausted (Alive2's SMT-timeout analog): degrade to
-      // the bounded concrete check rather than giving up entirely.
+      // Every inconclusive symbolic result degrades to the bounded
+      // concrete check rather than giving up: an exhausted solver budget
+      // (Alive2's SMT-timeout analog) and a solver model the concrete
+      // replay did not confirm alike. A violation the trials find is a
+      // real counterexample either way. The two causes are counted apart,
+      // so that a replay bug the trials happen to cover stays visible.
       if (R.Verdict != TVVerdict::Inconclusive)
         return R;
       // A watchdog cancellation is not a budget problem the concrete path
@@ -595,13 +604,17 @@ TVResult alive::checkRefinement(const Function &Src, const Function &Tgt,
       if (Opts.Token && Opts.Token->cancelled())
         return R;
       if (Stats)
-        ++Stats->counter("tv.symbolic.fallback", Volatility::Volatile);
+        ++Stats->counter(tvVerdictReason(R) == "inconclusive.budget"
+                             ? "tv.symbolic.fallback.budget"
+                             : "tv.symbolic.fallback.unconfirmed-model",
+                         Volatility::Volatile);
       TVResult CR = instrumentedConcrete(Src, Tgt, Opts, Stats);
       // Carry the abandoned symbolic attempt's cost into the final
-      // result: the budget-exhausted search is exactly what the profiler
-      // must attribute to this query.
+      // result: the inconclusive search is exactly what the profiler must
+      // attribute to this query.
       CR.SolverStats = R.SolverStats;
       CR.EncodeSeconds = R.EncodeSeconds;
+      CR.BlastSeconds = R.BlastSeconds;
       CR.SolveSeconds = R.SolveSeconds;
       if (CR.Verdict == TVVerdict::Incorrect)
         return CR;

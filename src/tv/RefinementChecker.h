@@ -105,6 +105,9 @@ struct TVResult {
   /// cache hit replays the *first* computation's numbers, which is exactly
   /// what cost attribution wants (the price of the query, paid once).
   double EncodeSeconds = 0;
+  /// The bit-blasting part of EncodeSeconds: 0 when the query was decided
+  /// at the word level, before any SAT object was built.
+  double BlastSeconds = 0;
   double SolveSeconds = 0;
 };
 
@@ -120,9 +123,12 @@ std::string tvVerdictReason(const TVResult &R);
 ///
 /// \p Stats (optional) receives query telemetry: "tv.query.symbolic" /
 /// "tv.query.concrete" invocation counts with matching ".seconds" latency
-/// histograms, solver effort counters, and "tv.symbolic.fallback" for
-/// budget-exhausted degradations to the concrete path. All volatile: they
-/// count actual checker invocations, which the TV verdict cache elides
+/// histograms, "tv.query.decided-before-sat" for symbolic queries that
+/// needed no SAT object, the "tv.encode/blast/solve.seconds" split,
+/// solver effort counters, and "tv.symbolic.fallback.budget" /
+/// "tv.symbolic.fallback.unconfirmed-model" for inconclusive symbolic
+/// results that fell back to the concrete path. All volatile: they count
+/// actual checker invocations, which the TV verdict cache elides
 /// differently per worker.
 TVResult checkRefinement(const Function &Src, const Function &Tgt,
                          const TVOptions &Opts = TVOptions(),

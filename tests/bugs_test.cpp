@@ -94,8 +94,9 @@ void expectCrash(BugId Id, const std::string &IR, const std::string &Passes) {
   ScopedBug Guard(Id);
   RunOutcome Buggy = runPipeline(IR, Passes);
   EXPECT_TRUE(Buggy.Crashed) << "crash not triggered";
-  if (Buggy.Crashed)
+  if (Buggy.Crashed) {
     EXPECT_EQ((unsigned)Buggy.CrashBug, (unsigned)Id);
+  }
 }
 
 } // namespace

@@ -244,7 +244,7 @@ TEST(TelemetryTest, ScopedTimerFeedsAllSinks) {
     // Spin a little so the elapsed time is non-zero.
     volatile unsigned X = 0;
     for (unsigned I = 0; I != 100000; ++I)
-      X += I;
+      X = X + I;
     (void)X;
   }
   EXPECT_EQ(H.count(), 1u);

@@ -21,8 +21,10 @@ using namespace alive;
 
 namespace {
 
-/// Parses a module containing @src and @tgt and checks @tgt against @src.
-TVResult check(const std::string &IR, const TVOptions &Opts = TVOptions()) {
+/// Parses a module containing @src and @tgt and checks @tgt against @src,
+/// recording query telemetry into \p Stats when given.
+TVResult check(const std::string &IR, const TVOptions &Opts = TVOptions(),
+               StatRegistry *Stats = nullptr) {
   std::string Err;
   auto M = parseModule(IR, Err);
   EXPECT_NE(M, nullptr) << Err;
@@ -32,7 +34,7 @@ TVResult check(const std::string &IR, const TVOptions &Opts = TVOptions()) {
   Function *Tgt = M->getFunction("tgt");
   EXPECT_NE(Src, nullptr);
   EXPECT_NE(Tgt, nullptr);
-  return checkRefinement(*Src, *Tgt, Opts);
+  return checkRefinement(*Src, *Tgt, Opts, Stats);
 }
 
 /// Optimizes the single function @f of \p IR with -O2 and checks the
@@ -1053,4 +1055,136 @@ define i1 @tgt(ptr nonnull dereferenceable(4) %p, ptr nonnull %q) {
 )");
   EXPECT_EQ(N.Verdict, TVVerdict::Correct) << N.Detail;
   EXPECT_FALSE(N.UsedConcretePath);
+}
+
+namespace {
+
+/// The volatile counter \p Name of \p Stats.
+uint64_t volatileCount(StatRegistry &Stats, const char *Name) {
+  return Stats.counter(Name, Volatility::Volatile);
+}
+
+/// Expects \p IR's pair proven correct before SAT: no blasting, no search.
+void expectProvenBeforeSAT(const std::string &IR) {
+  StatRegistry Stats;
+  TVResult R = check(IR, symbolicOnly(), &Stats);
+  EXPECT_EQ(R.Verdict, TVVerdict::Correct) << R.Detail;
+  EXPECT_EQ(R.Detail, "refinement proven for all inputs");
+  EXPECT_FALSE(R.UsedConcretePath);
+  EXPECT_EQ(volatileCount(Stats, "tv.query.decided-before-sat"), 1u);
+  EXPECT_EQ(R.BlastSeconds, 0.0);
+  EXPECT_EQ(R.SolveSeconds, 0.0);
+  EXPECT_EQ(R.SolverStats.Decisions + R.SolverStats.Propagations +
+                R.SolverStats.Conflicts,
+            0u);
+}
+
+} // namespace
+
+// A source whose only use of a 64-bit quotient is a dead urem's divisor:
+// its UB needs the whole restoring divider. Every UB disjunct of the
+// target (the noundef arguments' poison) is also one of the source's;
+// left out of the target's UB, they leave "not src.UB and false", which
+// folds.
+TEST(TVTest, DeadDividerSourceIsProvenBeforeSAT) {
+  expectProvenBeforeSAT(R"(
+define i32 @src(i64 noundef %0, i64 noundef %1) {
+  %3 = udiv i64 -6148914691236517206, %1
+  %4 = urem i64 %0, %3
+  ret i32 0
+}
+define i32 @tgt(i64 noundef %0, i64 noundef %1) {
+  ret i32 0
+}
+)");
+}
+
+// icmp ugt %0, %0 is false, so the select is %0 and its poison is %0's:
+// the source returns the target's term, poison and all.
+TEST(TVTest, IrreflexiveSelectIsProvenBeforeSAT) {
+  expectProvenBeforeSAT(R"(
+define i8 @src(i32 %0) {
+  %2 = icmp ugt i32 %0, %0
+  %3 = udiv i32 %0, 7
+  %4 = select i1 %2, i32 %3, i32 %0
+  %5 = trunc i32 %4 to i8
+  ret i8 %5
+}
+define i8 @tgt(i32 %0) {
+  %2 = trunc i32 %0 to i8
+  ret i8 %2
+}
+)");
+}
+
+// The pruning must keep the target's own UB: the same divider in the
+// target alone still reaches SAT, and its counterexample is real.
+TEST(TVTest, TargetOnlyDividerUBStillReachesSAT) {
+  StatRegistry Stats;
+  TVResult R = check(R"(
+define i32 @src(i64 noundef %0, i64 noundef %1) {
+  ret i32 0
+}
+define i32 @tgt(i64 noundef %0, i64 noundef %1) {
+  %3 = udiv i64 -6148914691236517206, %1
+  %4 = urem i64 %0, %3
+  ret i32 0
+}
+)",
+                     symbolicOnly(), &Stats);
+  EXPECT_EQ(R.Verdict, TVVerdict::Incorrect) << R.Detail;
+  EXPECT_EQ(volatileCount(Stats, "tv.query.decided-before-sat"), 0u);
+  EXPECT_GT(R.BlastSeconds, 0.0);
+  EXPECT_NE(R.Detail.find("target has UB"), std::string::npos) << R.Detail;
+}
+
+// Every inconclusive symbolic result falls back to the concrete trials,
+// and the stats name its cause: an exhausted conflict budget, or a solver
+// model the concrete replay did not confirm.
+TEST(TVTest, SymbolicFallbackIsCountedByCause) {
+  // Associativity of an i8 multiply needs search; one conflict is not
+  // enough.
+  TVOptions OneConflict;
+  OneConflict.SolverConflictBudget = 1;
+  StatRegistry Budget;
+  TVResult R = check(R"(
+define i8 @src(i8 %x, i8 %y, i8 %z) {
+  %a = mul i8 %x, %y
+  %b = mul i8 %a, %z
+  ret i8 %b
+}
+define i8 @tgt(i8 %x, i8 %y, i8 %z) {
+  %a = mul i8 %y, %z
+  %b = mul i8 %x, %a
+  ret i8 %b
+}
+)",
+                     OneConflict, &Budget);
+  EXPECT_EQ(tvVerdictReason(R), "inconclusive.budget") << R.Detail;
+  EXPECT_EQ(volatileCount(Budget, "tv.symbolic.fallback.budget"), 1u);
+  EXPECT_EQ(volatileCount(Budget, "tv.symbolic.fallback.unconfirmed-model"),
+            0u);
+
+  // freeze of poison is a fresh value to the solver, which can pick a
+  // nonzero one, and 0 to the interpreter, which then sees no violation.
+  StatRegistry Unconfirmed;
+  R = check(R"(
+define i8 @src(i8 noundef %x) {
+  %a = add nuw i8 %x, 255
+  %f = freeze i8 %a
+  ret i8 %f
+}
+define i8 @tgt(i8 noundef %x) {
+  %c = icmp eq i8 %x, 0
+  %r = select i1 %c, i8 255, i8 0
+  ret i8 %r
+}
+)",
+            TVOptions(), &Unconfirmed);
+  EXPECT_EQ(tvVerdictReason(R), "inconclusive.unconfirmed-model")
+      << R.Detail;
+  EXPECT_EQ(volatileCount(Unconfirmed, "tv.symbolic.fallback.budget"), 0u);
+  EXPECT_EQ(
+      volatileCount(Unconfirmed, "tv.symbolic.fallback.unconfirmed-model"),
+      1u);
 }
